@@ -74,7 +74,7 @@ func (c *Client) Search(key []byte) ([]byte, bool, error) {
 			leaf, err = c.eng.SearchFrom(root, key, rart.NopHooks{})
 		}
 		if retriable(err) {
-			if bo.Wait() {
+			if rart.RetryWait(bo, err) {
 				continue
 			}
 			return nil, false, fmt.Errorf("%w: artdm search for %q", rart.ErrRetriesExhausted, key)
@@ -116,7 +116,7 @@ func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
 		}
 		if retriable(err) {
 			last = err
-			if bo.Wait() {
+			if rart.RetryWait(bo, err) {
 				continue
 			}
 			return false, fmt.Errorf("%w: artdm put for %q (last: %v)", rart.ErrRetriesExhausted, key, last)
@@ -134,7 +134,7 @@ func (c *Client) Delete(key []byte) (bool, error) {
 			ok, err = c.eng.DeleteFrom(root, key, rart.NopHooks{})
 		}
 		if retriable(err) {
-			if bo.Wait() {
+			if rart.RetryWait(bo, err) {
 				continue
 			}
 			return false, fmt.Errorf("%w: artdm delete for %q", rart.ErrRetriesExhausted, key)
@@ -158,7 +158,7 @@ func (c *Client) Scan(lo, hi []byte, limit int) ([]rart.KV, error) {
 		if !retriable(err) {
 			return nil, err
 		}
-		if !bo.Wait() {
+		if !rart.RetryWait(bo, err) {
 			return nil, fmt.Errorf("%w: artdm scan", rart.ErrRetriesExhausted)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"sphinx/internal/fabric"
 	"sphinx/internal/rart"
@@ -316,6 +317,50 @@ func TestChaosLockSteal(t *testing.T) {
 	for _, k := range []string{"alpha", "beta", "zeta"} {
 		if _, ok, err := b.Search([]byte(k)); err != nil || !ok {
 			t.Errorf("%q missing after steal: %v", k, err)
+		}
+	}
+}
+
+// TestLiveLockHolderNotStolen: a live holder whose goroutine does not run
+// for a while keeps its lease. The waiter's virtual lease runs out within
+// microseconds of wall-clock time, so it must not steal before
+// fabric.StallGrace; the holder's release lets it in without a steal.
+func TestLiveLockHolderNotStolen(t *testing.T) {
+	f, shared := newCluster(t, 1, fabric.DefaultConfig(), 1000)
+	a := newTestClient(f, shared, Options{})
+	for _, k := range []string{"alpha", "beta"} {
+		if _, err := a.Insert([]byte(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root, err := a.eng.ReadNode(shared.Root, wire.Node256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := a.eng.Lock(root.Addr, root.Hdr.Type, root.LeaseWord)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b := newTestClient(f, shared, Options{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.Insert([]byte("zeta"), []byte("new"))
+		done <- err
+	}()
+	time.Sleep(fabric.StallGrace / 2)
+	if err := a.eng.C.Batch([]fabric.Op{a.eng.UnlockOp(held)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("insert behind a live holder: %v", err)
+	}
+	if steals := b.Engine().Stats().LockSteals; steals != 0 {
+		t.Errorf("LockSteals = %d; a live holder's lease was stolen", steals)
+	}
+	for _, k := range []string{"alpha", "beta", "zeta"} {
+		if _, ok, err := b.Search([]byte(k)); err != nil || !ok {
+			t.Errorf("%q missing: %v", k, err)
 		}
 	}
 }

@@ -58,6 +58,9 @@ type Shared struct {
 	// choice — see hotreplica.go). Built by BootstrapHot; nil keeps
 	// single-owner placement byte-for-byte.
 	Hot *HotReplicas
+	// versions is the cluster-wide LWW version counter of both record
+	// sets (see nextVersion).
+	versions *atomic.Uint64
 }
 
 // Bootstrap creates an empty Sphinx index: the root node plus one inner
@@ -71,19 +74,14 @@ func Bootstrap(f *fabric.Fabric, ring *consistenthash.Ring, expectedKeys int) (S
 	if err != nil {
 		return Shared{}, err
 	}
-	tables := make(map[mem.NodeID]racehash.Table, len(ring.Nodes()))
 	// Inner nodes are a fraction of the key count (one per shared-prefix
 	// branch point); a quarter is generous for both datasets, and the
 	// table resizes itself beyond that.
-	perNode := expectedKeys/(4*len(ring.Nodes())) + 1
-	for _, node := range ring.Nodes() {
-		t, err := racehash.Bootstrap(f.Region(node), alloc, node, perNode)
-		if err != nil {
-			return Shared{}, err
-		}
-		tables[node] = t
+	tables, err := bootstrapTables(f, alloc, ring.Nodes(), expectedKeys/(4*len(ring.Nodes()))+1, "hash")
+	if err != nil {
+		return Shared{}, err
 	}
-	sh := Shared{Root: root, Ring: ring, Tables: tables}
+	sh := Shared{Root: root, Ring: ring, Tables: tables, versions: new(atomic.Uint64)}
 	sh.Members = NewMembership(&Placement{Ring: ring, Tables: tables})
 	return sh, nil
 }
@@ -299,11 +297,6 @@ type Options struct {
 	// HotSetBytes sizes the private tracker when Hot is nil (0 selects
 	// DefaultHotSetBytes).
 	HotSetBytes int
-	// DisableHot turns the hot read-replication layer off for this client
-	// even when the cluster has it bootstrapped. Ablation lever — only
-	// meaningful cluster-wide (a writer with the layer off would leave
-	// replica records stale for everyone else).
-	DisableHot bool
 }
 
 // Stats counts Sphinx-level events per client.
@@ -400,17 +393,14 @@ type Client struct {
 	index *obs.IndexMetrics // nil when index distributions are off
 	rec   *obs.Recorder     // armed per-op by Session.Trace; nil when idle
 
-	// Fault-tolerance state (empty without Shared.FT): per-node views on
-	// the anchor tables, copy-on-write like views.
-	anchorViews atomic.Pointer[viewSet]
+	// The client's handles on the anchor store (nil without Shared.FT)
+	// and the hot record store (nil without Shared.Hot).
+	anchors, hot *recordStore
 
-	// Hot-replication state (inert without Shared.Hot): per-node views on
-	// the hot-record tables, the CN's hot-key tracker, the SFC hotness
-	// observation of the last locate, and target-resolution scratch.
-	hotViews       atomic.Pointer[viewSet]
-	hotset         *HotSet
-	sfcWasHot      bool
-	hotNodeScratch []mem.NodeID
+	// Hot-replication state (inert without Shared.Hot): the CN's hot-key
+	// tracker and the SFC hotness observation of the last locate.
+	hotset    *HotSet
+	sfcWasHot bool
 
 	// Warm-path scratch, reused across operations (clients are
 	// single-goroutine). Valid only within one locate step.
@@ -426,11 +416,7 @@ func NewClient(shared Shared, c *fabric.Client, opts Options) *Client {
 	if members == nil {
 		// Hand-built Shared (tests, static deployments): synthesize the
 		// epoch-0 placement from the legacy fields.
-		p := &Placement{Ring: shared.Ring, Tables: shared.Tables}
-		if shared.FT != nil {
-			p.Anchors = shared.FT.Anchors
-		}
-		members = NewMembership(p)
+		members = NewMembership(&Placement{Ring: shared.Ring, Tables: shared.Tables})
 	}
 	if ft := shared.FT; ft != nil {
 		// Steer new tree allocations (inner nodes, leaves) to the first
@@ -460,13 +446,11 @@ func NewClient(shared Shared, c *fabric.Client, opts Options) *Client {
 		views.m[node] = cl.newDirView(t, c)
 	}
 	cl.views.Store(views)
-	anchors := &viewSet{m: make(map[mem.NodeID]*racehash.View, len(cur.Anchors))}
-	for node, t := range cur.Anchors {
-		anchors.m[node] = racehash.NewView(t, c)
+	if ft := shared.FT; ft != nil {
+		cl.anchors = newRecordStore(ft.RecordSet, cl)
 	}
-	cl.anchorViews.Store(anchors)
-	cl.hotViews.Store(&viewSet{m: make(map[mem.NodeID]*racehash.View)})
-	if hot := shared.Hot; hot != nil && !opts.DisableHot {
+	if hot := shared.Hot; hot != nil {
+		cl.hot = newRecordStore(hot.RecordSet, cl)
 		cl.hotset = opts.Hot
 		if cl.hotset == nil {
 			cl.hotset = NewHotSet(uint64(opts.HotSetBytes), opts.Seed, hot.R)
@@ -615,24 +599,6 @@ func (c *Client) viewOf(node mem.NodeID) *racehash.View {
 	}
 	v := c.newDirView(t, c.eng.C)
 	c.storeView(&c.views, node, v)
-	return v
-}
-
-// anchorViewOf is viewOf for the anchor-replica tables.
-func (c *Client) anchorViewOf(node mem.NodeID) *racehash.View {
-	if v, ok := c.anchorViews.Load().m[node]; ok {
-		return v
-	}
-	p := c.members.Current()
-	t, ok := p.Anchors[node]
-	if !ok && p.Prev != nil {
-		t, ok = p.Prev.Anchors[node]
-	}
-	if !ok {
-		return nil
-	}
-	v := racehash.NewView(t, c.eng.C)
-	c.storeView(&c.anchorViews, node, v)
 	return v
 }
 

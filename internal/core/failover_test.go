@@ -323,12 +323,13 @@ func TestAnchorConcurrentSameKeyUpdates(t *testing.T) {
 	if !written[string(v)] {
 		t.Fatalf("surviving value %q was never acknowledged", v)
 	}
-	for _, node := range shared.FT.targets(shared.Ring, key) {
-		_, av, _, found, err := r.findAnchor(node, key)
+	for _, node := range shared.FT.targets(nil, shared.Ring, key) {
+		cands, best, err := r.anchors.lookup(node, key)
+		found := best >= 0
 		if err != nil || !found {
 			t.Fatalf("anchor on node %d: found=%v err=%v", node, found, err)
 		}
-		if !written[string(av)] {
+		if av := cands[best].value; !written[string(av)] {
 			t.Fatalf("anchor on node %d holds unacknowledged value %q", node, av)
 		}
 	}

@@ -4,11 +4,12 @@
 // Single-owner placement concentrates a Zipfian workload's head keys on
 // one MN's NIC. This layer lets each CN promote the keys its HotSet
 // tracker finds hot into R-way replicated placement: the key's value is
-// republished as immutable versioned records — the anchor-record format
-// of replica.go — into dedicated per-MN hot tables on the key's first R
-// ring successors. A promoted read then takes one round trip to a replica
-// chosen by power-of-two-choices on the fabric's cached per-MN queued-wait
-// signal, spreading the head of the distribution across NICs.
+// republished as immutable versioned records into dedicated per-MN hot
+// tables on the key's first R ring successors, one configuration of the
+// versioned record layer (records.go). A promoted read then takes one
+// round trip to a replica chosen by power-of-two-choices on the fabric's
+// cached per-MN queued-wait signal, spreading the head of the
+// distribution across NICs.
 //
 // The read keeps the trust-but-verify shape of the leaf-address cache:
 // the cached record address is only a hint, the record image is verified
@@ -22,9 +23,9 @@
 // Promotion closes the publish-vs-write race with a placeholder phase:
 //
 //	open the writers' gate        // Published() true from here on
-//	v0 := nextHotVersion()        // drawn before anything else
+//	v0 := nextVersion()           // drawn before anything else
 //	publish Locked placeholders   // key now discoverable to writers
-//	v1 := nextHotVersion()        // still before the read
+//	v1 := nextVersion()           // still before the read
 //	value := authoritative read
 //	swap records in at v1         // swap-only: absence aborts
 //
@@ -52,12 +53,9 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync/atomic"
 
-	"sphinx/internal/consistenthash"
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
 	"sphinx/internal/racehash"
@@ -75,22 +73,15 @@ const DefaultHotReplication = 3
 // by every client. It is independent of the fault-tolerance layer: hot
 // records are a performance cache of the tree, not a durability store.
 type HotReplicas struct {
-	// R is how many ring successors a promoted key is replicated onto.
-	R int
-	// Health is the fabric's shared breaker table (diagnostics; targeting
-	// is deterministic so writers and readers agree on the replica set).
-	Health *fabric.Health
-	// Tables maps each bootstrap-time memory node to its hot-record
-	// table. Deliberately static: nodes added by elastic scale-out simply
-	// do not host hot replicas, and targeting skips nodes without tables.
-	Tables map[mem.NodeID]racehash.Table
+	// RecordSet is the hot record store: R replicas per key over the ring
+	// successors that host one of its static bootstrap-time tables (nodes
+	// added by elastic scale-out simply host none), superseded images
+	// retired, traffic tagged StageHotPub.
+	*RecordSet
 	// Load is the shared per-MN contention snapshot cache driving the
 	// power-of-two-choices replica pick.
 	Load *fabric.LoadCache
 
-	// verCounter issues cluster-ordered LWW versions for hot records
-	// (same construction as FaultTolerance.verCounter).
-	verCounter uint64
 	// published is nonzero once a hot record — including a promotion
 	// placeholder — may be discoverable; writers skip the per-write
 	// replica probe while it is still zero (nothing can be stale). Set
@@ -105,27 +96,6 @@ func (hr *HotReplicas) Published() bool {
 	return atomic.LoadUint64(&hr.published) != 0
 }
 
-// targetsAppend appends the key's hot replica set to dst: the first R
-// distinct ring successors that host a hot table. No health filter — the
-// set must be deterministic so writers provably cover every record a
-// reader could reach; unreachable targets are handled by error policy
-// (writers skip only permanently killed nodes, whose records no reader
-// can fetch either).
-func (hr *HotReplicas) targetsAppend(dst []mem.NodeID, ring *consistenthash.Ring, key []byte) []mem.NodeID {
-	start := len(dst)
-	owners := ring.OwnersKey(key, len(ring.Nodes()))
-	for _, o := range owners {
-		if _, ok := hr.Tables[o]; !ok {
-			continue
-		}
-		dst = append(dst, o)
-		if len(dst)-start >= hr.R {
-			break
-		}
-	}
-	return dst
-}
-
 // BootstrapHot adds the hot-replication layer to a bootstrapped cluster:
 // one hot-record table per current memory node (sized for expectedHot
 // promoted keys at replica factor r) plus the shared descriptor, stored
@@ -136,85 +106,22 @@ func BootstrapHot(f *fabric.Fabric, sh *Shared, expectedHot, r int) error {
 	if r < 2 {
 		r = DefaultHotReplication
 	}
-	ring := sh.Ring
-	nodes := ring.Nodes()
+	nodes := sh.Ring.Nodes()
 	if r > len(nodes) {
 		r = len(nodes)
 	}
 	if expectedHot < 1 {
 		expectedHot = 1
 	}
-	alloc := mem.NewAllocator(f.Regions(), 0)
-	perNode := expectedHot*r/len(nodes) + 1
-	tables := make(map[mem.NodeID]racehash.Table, len(nodes))
-	for _, node := range nodes {
-		t, err := racehash.Bootstrap(f.Region(node), alloc, node, perNode)
-		if err != nil {
-			return fmt.Errorf("core: bootstrap hot table on node %d: %w", node, err)
-		}
-		tables[node] = t
+	tables, err := bootstrapTables(f, mem.NewAllocator(f.Regions(), 0), nodes, expectedHot*r/len(nodes)+1, "hot")
+	if err != nil {
+		return err
 	}
 	sh.Hot = &HotReplicas{
-		R:      r,
-		Health: f.Health(),
-		Tables: tables,
-		Load:   f.NewLoadCache(0),
+		RecordSet: &RecordSet{R: r, Tables: tables, retire: true, stage: fabric.StageHotPub, name: "hot"},
+		Load:      f.NewLoadCache(0),
 	}
 	return nil
-}
-
-// hotViewOf returns the client's view on node's hot table (nil if the
-// node hosts none). Views are lazy copy-on-write like the anchor views.
-func (c *Client) hotViewOf(node mem.NodeID) *racehash.View {
-	if v, ok := c.hotViews.Load().m[node]; ok {
-		return v
-	}
-	t, ok := c.shared.Hot.Tables[node]
-	if !ok {
-		return nil
-	}
-	v := racehash.NewView(t, c.eng.C)
-	c.storeView(&c.hotViews, node, v)
-	return v
-}
-
-// nextHotVersion returns a fresh cluster-ordered LWW version for hot
-// records, tagged with the client ID.
-func (c *Client) nextHotVersion() uint64 {
-	return atomic.AddUint64(&c.shared.Hot.verCounter, 1)<<8 | uint64(c.eng.C.ID())&0xff
-}
-
-// hotEnabled reports whether this client participates in the hot layer.
-// DisableHot is an ablation lever and only safe cluster-wide: a writing
-// client that skips the replica refresh would leave records stale for
-// every other CN.
-func (c *Client) hotEnabled() bool {
-	return c.shared.Hot != nil && !c.opts.DisableHot
-}
-
-// hotTargets resolves the key's replica set under the current placement,
-// unioned with the previous epoch's mid-transition (records published
-// against the old ring must keep being refreshed until cutover). curN is
-// how many leading entries come from the current ring — their position
-// defines the replica rank for the route caches.
-func (c *Client) hotTargets(key []byte, includePrev bool) (ts []mem.NodeID, curN int) {
-	hot := c.shared.Hot
-	p := c.members.Current()
-	ts = hot.targetsAppend(c.hotNodeScratch[:0], p.Ring, key)
-	curN = len(ts)
-	if includePrev && p.Prev != nil {
-	prev:
-		for _, t := range hot.targetsAppend(nil, p.Prev.Ring, key) {
-			for _, u := range ts {
-				if u == t {
-					continue prev
-				}
-			}
-			ts = append(ts, t)
-		}
-	}
-	c.hotNodeScratch = ts
-	return ts, curN
 }
 
 // hotUnits converts a record image length to the route cache's 64-byte
@@ -235,159 +142,16 @@ func hotUnits(imgLen int) uint8 {
 // and be retried as soon as the sketch re-crossed the threshold —
 // steady candidate-lookup churn plus orphaned records, zero benefit.
 func hotRoutable(key []byte, valLen int) bool {
-	return hotUnits(anchorDataOff+len(key)+valLen) != 0
-}
-
-// hotCand is one decoded hot-table candidate whose record stores the key.
-type hotCand struct {
-	entry   wire.HashEntry
-	status  wire.Status
-	value   []byte
-	version uint64
-	imgLen  int
-}
-
-// hotCandidates returns every candidate on node's hot table whose record
-// matches key exactly, decoded. Maintenance traffic: StageHotPub.
-func (c *Client) hotCandidates(node mem.NodeID, key []byte) ([]hotCand, error) {
-	view := c.hotViewOf(node)
-	if view == nil {
-		return nil, nil
-	}
-	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHotPub))
-	cands, err := view.Lookup(racehash.PlacementHash(key), wire.FP12(key))
-	if err != nil {
-		return nil, err
-	}
-	var out []hotCand
-	for _, cand := range cands {
-		st, k, v, ver, err := c.readRecord(cand.Entry.Addr)
-		if err != nil {
-			return nil, err
-		}
-		if bytes.Equal(k, key) {
-			out = append(out, hotCand{cand.Entry, st, v, ver, anchorDataOff + len(k) + len(v)})
-		}
-	}
-	return out, nil
-}
-
-// retireRecord overwrites a superseded record's status word with
-// StatusInvalid so any route cache still holding its address refutes on
-// the next read instead of serving stale data. One 8-byte write.
-func (c *Client) retireRecord(addr mem.Addr, key []byte) error {
-	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHotPub))
-	hdr := wire.NodeHeader{
-		Status:     wire.StatusInvalid,
-		Type:       wire.Node4,
-		Depth:      uint16(len(key)),
-		PrefixHash: wire.PrefixHash42(key),
-	}
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], hdr.Encode())
-	return c.eng.C.Write(addr, w[:])
-}
-
-// hotDedup removes and retires every candidate except keep — losers of
-// racing promotions. CAS-exact removes, so a concurrently refreshed entry
-// survives; its old image was superseded anyway, so retiring it stays
-// correct.
-func (c *Client) hotDedup(node mem.NodeID, key []byte, cands []hotCand, keep int) {
-	view := c.hotViewOf(node)
-	h42 := racehash.PlacementHash(key)
-	for i := range cands {
-		if i == keep {
-			continue
-		}
-		_ = view.Remove(h42, cands[i].entry)
-		_ = c.retireRecord(cands[i].entry.Addr, key)
-	}
-}
-
-// hotSwapIn publishes (key, value, version) over whatever records node
-// currently holds for key — swap-only, never insert: absence means the
-// key is not (or no longer) promoted there, and inserting could resurrect
-// a concurrently deleted key. Returns the address and size of the record
-// now servable for the key (ours, or a newer Idle winner's); ok=false
-// when the node holds nothing servable.
-func (c *Client) hotSwapIn(node mem.NodeID, key, value []byte, version uint64) (addr mem.Addr, imgLen int, ok bool, err error) {
-	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHotPub))
-	var img []byte
-	var newAddr mem.Addr
-	// dropOrphan retires a written-but-never-published image when an exit
-	// abandons it — a retry iteration adopted a newer winner, the record
-	// vanished, or the race budget ran out. The bump allocator cannot
-	// reclaim the bytes, but invalidating the status word keeps the
-	// orphan permanently un-servable instead of a live-looking Idle
-	// record floating in dead memory.
-	dropOrphan := func() {
-		if img != nil {
-			_ = c.retireRecord(newAddr, key)
-		}
-	}
-	for attempt := 0; attempt < anchorPutMaxRaces; attempt++ {
-		cands, err := c.hotCandidates(node, key)
-		if err != nil {
-			dropOrphan()
-			return 0, 0, false, err
-		}
-		if len(cands) == 0 {
-			dropOrphan()
-			return 0, 0, false, nil
-		}
-		best := 0
-		for i := range cands {
-			if cands[i].version > cands[best].version {
-				best = i
-			}
-		}
-		if cands[best].version >= version {
-			// A newer write already won; keep it (LWW).
-			dropOrphan()
-			if cands[best].status != wire.StatusIdle {
-				return 0, 0, false, nil
-			}
-			c.hotDedup(node, key, cands, best)
-			return cands[best].entry.Addr, cands[best].imgLen, true, nil
-		}
-		if img == nil {
-			// Immutable record: one allocation serves every retry. img is
-			// only set once the image is fully written, so dropOrphan never
-			// touches a half-initialized record.
-			rec := encodeRecord(wire.StatusIdle, key, value, version)
-			newAddr, err = c.eng.Alloc.Alloc(node, mem.ClassLeaf, uint64(len(rec)))
-			if err != nil {
-				return 0, 0, false, err
-			}
-			if err := c.eng.C.Write(newAddr, rec); err != nil {
-				return 0, 0, false, err
-			}
-			img = rec
-		}
-		newEntry := wire.HashEntry{Valid: true, FP: wire.FP12(key), Type: wire.Node4, Addr: newAddr}
-		won, err := c.hotViewOf(node).SwapIfPresent(racehash.PlacementHash(key), cands[best].entry, newEntry)
-		if err != nil {
-			dropOrphan()
-			return 0, 0, false, err
-		}
-		if won {
-			_ = c.retireRecord(cands[best].entry.Addr, key)
-			c.hotDedup(node, key, cands, best)
-			return newAddr, len(img), true, nil
-		}
-		// Lost the swap race; re-read and re-decide by version.
-	}
-	dropOrphan()
-	return 0, 0, false, fmt.Errorf("core: hot publish for %q lost %d consecutive swap races", key, anchorPutMaxRaces)
+	return hotUnits(recDataOff+len(key)+valLen) != 0
 }
 
 // hotPlacehold publishes a Locked placeholder at version v0 on every
 // target that holds nothing for the key yet, making the key discoverable
 // to concurrent writers before the promoter's authoritative read.
 func (c *Client) hotPlacehold(targets []mem.NodeID, key []byte, v0 uint64) error {
-	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHotPub))
+	defer c.eng.C.SetStage(c.hot.tag())
 	for _, t := range targets {
-		cands, err := c.hotCandidates(t, key)
+		cands, _, err := c.hot.lookup(t, key)
 		if err != nil {
 			if errors.Is(err, fabric.ErrNodeKilled) {
 				continue // no reader can fetch from a killed node either
@@ -397,15 +161,10 @@ func (c *Client) hotPlacehold(targets []mem.NodeID, key []byte, v0 uint64) error
 		if len(cands) > 0 {
 			continue // already discoverable (record or racing placeholder)
 		}
-		img := encodeRecord(wire.StatusLocked, key, nil, v0)
-		addr, err := c.eng.Alloc.Alloc(t, mem.ClassLeaf, uint64(len(img)))
+		entry, _, err := c.hot.writeImage(t, wire.StatusLocked, key, nil, v0)
 		if err != nil {
 			return err
 		}
-		if err := c.eng.C.Write(addr, img); err != nil {
-			return err
-		}
-		entry := wire.HashEntry{Valid: true, FP: wire.FP12(key), Type: wire.Node4, Addr: addr}
 		// Open the writers' probe gate before the placeholder becomes
 		// discoverable: a put/delete committing between this insert and
 		// the promoter's authoritative read must see Published() true and
@@ -414,7 +173,7 @@ func (c *Client) hotPlacehold(targets []mem.NodeID, key []byte, v0 uint64) error
 		// gate opened it stays open even if this promotion fizzles —
 		// correctness over the probe's cost.
 		atomic.StoreUint64(&c.shared.Hot.published, 1)
-		if err := c.hotViewOf(t).Insert(racehash.PlacementHash(key), entry, c.eng.Alloc); err != nil {
+		if err := c.hot.view(t).Insert(racehash.PlacementHash(key), entry, c.eng.Alloc); err != nil {
 			return err
 		}
 	}
@@ -425,20 +184,19 @@ func (c *Client) hotPlacehold(targets []mem.NodeID, key []byte, v0 uint64) error
 // still Locked) after an aborted promotion. CAS-exact: a placeholder a
 // writer already swapped live is left alone.
 func (c *Client) hotAbandon(targets []mem.NodeID, key []byte, v0 uint64) {
-	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHotPub))
+	defer c.eng.C.SetStage(c.hot.tag())
 	for _, t := range targets {
-		cands, err := c.hotCandidates(t, key)
+		cands, _, err := c.hot.lookup(t, key)
 		if err != nil {
 			continue
 		}
-		view := c.hotViewOf(t)
-		for i := range cands {
-			if cands[i].version == v0 && cands[i].status == wire.StatusLocked {
-				if view.Remove(racehash.PlacementHash(key), cands[i].entry) == nil {
-					_ = c.retireRecord(cands[i].entry.Addr, key)
-				}
+		mine := cands[:0]
+		for _, r := range cands {
+			if r.version == v0 && r.status == wire.StatusLocked {
+				mine = append(mine, r)
 			}
 		}
+		_ = c.hot.drop(t, key, mine, -1) // best effort: leftovers are benign
 	}
 }
 
@@ -457,7 +215,7 @@ func (c *Client) hotAbandon(targets []mem.NodeID, key []byte, v0 uint64) {
 // hot reads. The placeholder/versioned-swap protocol below runs only
 // against targets that hold nothing yet.
 func (c *Client) hotPromote(key []byte) {
-	targets, _ := c.hotTargets(key, false)
+	targets, _ := c.hot.targetsOf(key, false)
 	if len(targets) == 0 {
 		c.hotset.Unclaim(key)
 		return
@@ -466,7 +224,7 @@ func (c *Client) hotPromote(key []byte) {
 	fresh := targets[:0]
 	freshRanks := make([]int, 0, len(targets))
 	for i, t := range targets {
-		cands, err := c.hotCandidates(t, key)
+		cands, _, err := c.hot.lookup(t, key)
 		if err != nil {
 			continue // killed or transient: forgo this rank
 		}
@@ -487,7 +245,7 @@ func (c *Client) hotPromote(key []byte) {
 		freshRanks = append(freshRanks, i)
 	}
 	if len(fresh) > 0 {
-		v0 := c.nextHotVersion()
+		v0 := c.nextVersion()
 		if err := c.hotPlacehold(fresh, key, v0); err != nil {
 			c.hotset.Unclaim(key)
 			return
@@ -495,7 +253,7 @@ func (c *Client) hotPromote(key []byte) {
 		// Both versions are drawn before the read: any write committing
 		// after it outranks v1, so our swap below can never bury a fresher
 		// value.
-		v1 := c.nextHotVersion()
+		v1 := c.nextVersion()
 		val, ok, err := c.searchTree(key)
 		if err != nil {
 			c.hotset.Unclaim(key)
@@ -516,12 +274,12 @@ func (c *Client) hotPromote(key []byte) {
 			return
 		}
 		for i, t := range fresh {
-			addr, imgLen, ok, err := c.hotSwapIn(t, key, val, v1)
-			if err != nil || !ok {
+			res, err := c.hot.put(t, key, val, v1, false)
+			if err != nil {
 				continue
 			}
-			if units := hotUnits(imgLen); units != 0 && freshRanks[i] < c.hotset.Ranks() {
-				c.hotset.Rank(freshRanks[i]).Learn(key, addr, units)
+			if units := hotUnits(res.imgLen); units != 0 && freshRanks[i] < c.hotset.Ranks() {
+				c.hotset.Rank(freshRanks[i]).Learn(key, res.addr, units)
 				routed++
 			}
 		}
@@ -533,36 +291,33 @@ func (c *Client) hotPromote(key []byte) {
 	atomic.AddUint64(&c.stats.HotPromotes, 1)
 }
 
-// hotRefresh republishes a committed write over the key's hot records,
-// called by put between tree commit and acknowledgement. LWW-idempotent,
-// so the caller's retry machinery can re-run it. Killed targets are
-// skipped — no reader can fetch their records; any other failure
-// propagates so the write is not acknowledged with a stale replica
-// readable.
-func (c *Client) hotRefresh(key, value []byte) error {
+// hotRefresh republishes a committed write at version over the key's hot
+// records, called by put between tree commit and acknowledgement.
+// LWW-idempotent, so the caller's retry machinery can re-run it. Killed
+// targets are skipped — no reader can fetch their records; any other
+// failure propagates so the write is not acknowledged with a stale
+// replica readable.
+func (c *Client) hotRefresh(key, value []byte, version uint64) error {
 	if !c.shared.Hot.Published() {
 		return nil
 	}
-	version := c.nextHotVersion()
 	refreshed := false
-	targets, curN := c.hotTargets(key, true)
+	targets, curN := c.hot.targetsOf(key, true)
 	for i, t := range targets {
-		addr, imgLen, ok, err := c.hotSwapIn(t, key, value, version)
+		res, err := c.hot.put(t, key, value, version, false)
 		if err != nil {
 			if errors.Is(err, fabric.ErrNodeKilled) {
 				continue
 			}
 			return err
 		}
-		refreshed = refreshed || ok
+		refreshed = refreshed || res.imgLen != 0
 		// The old record was just retired, so this CN's route to it is
 		// stale; re-learn the fresh address in the same breath (rank =
 		// position among the current ring's targets). Other CNs refute
 		// once and re-promote — see hotGet.
-		if ok && c.hotset != nil && i < curN && i < c.hotset.Ranks() {
-			if units := hotUnits(imgLen); units != 0 {
-				c.hotset.Rank(i).Learn(key, addr, units)
-			}
+		if units := hotUnits(res.imgLen); units != 0 && c.hotset != nil && i < curN && i < c.hotset.Ranks() {
+			c.hotset.Rank(i).Learn(key, res.addr, units)
 		}
 	}
 	if refreshed {
@@ -579,26 +334,10 @@ func (c *Client) hotRemove(key []byte, strict bool) error {
 	if !c.shared.Hot.Published() {
 		return nil
 	}
-	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHotPub))
-	h42 := racehash.PlacementHash(key)
-	targets, _ := c.hotTargets(key, true)
+	targets, _ := c.hot.targetsOf(key, true)
 	for _, t := range targets {
-		cands, err := c.hotCandidates(t, key)
-		if err != nil {
-			if !strict || errors.Is(err, fabric.ErrNodeKilled) {
-				continue
-			}
+		if _, err := c.hot.remove(t, key); err != nil && strict && !errors.Is(err, fabric.ErrNodeKilled) {
 			return err
-		}
-		view := c.hotViewOf(t)
-		for i := range cands {
-			if err := view.Remove(h42, cands[i].entry); err != nil {
-				if !strict || errors.Is(err, fabric.ErrNodeKilled) {
-					continue
-				}
-				return err
-			}
-			_ = c.retireRecord(cands[i].entry.Addr, key)
 		}
 	}
 	return nil
@@ -622,7 +361,7 @@ func (c *Client) hotDemote(key []byte) {
 // would leave records stale) and for values too large to route (see
 // hotRoutable) — valLen is the length of the value the read served.
 func (c *Client) hotTouch(key []byte, valLen int, sfcHot bool) {
-	if c.hotset == nil || !c.hotEnabled() || !hotRoutable(key, valLen) {
+	if c.hotset == nil || !hotRoutable(key, valLen) {
 		return
 	}
 	switch c.hotset.Observe(key, sfcHot) {
@@ -659,7 +398,7 @@ func (c *Client) hotReadRecord(addr mem.Addr, units uint8, key []byte) ([]byte, 
 	if addr.Offset()+size > regionSize {
 		size = regionSize - addr.Offset()
 	}
-	if size < anchorDataOff {
+	if size < recDataOff {
 		return nil, hotReadSkip
 	}
 	buf := make([]byte, size)
@@ -669,21 +408,11 @@ func (c *Client) hotReadRecord(addr mem.Addr, units uint8, key []byte) ([]byte, 
 		}
 		return nil, hotReadAbort
 	}
-	hdr := wire.DecodeNodeHeader(binary.LittleEndian.Uint64(buf[0:]))
-	if hdr.Status != wire.StatusIdle {
+	r, ok := decodeRecord(buf)
+	if !ok || r.status != wire.StatusIdle || !bytes.Equal(r.key, key) {
 		return nil, hotReadRefute
 	}
-	lens := binary.LittleEndian.Uint64(buf[anchorLensOff:])
-	keyLen := int(lens & 0xffff)
-	valLen := int(lens >> 16)
-	if keyLen != len(key) || anchorDataOff+keyLen+valLen > len(buf) {
-		return nil, hotReadRefute
-	}
-	if !bytes.Equal(buf[anchorDataOff:anchorDataOff+keyLen], key) {
-		return nil, hotReadRefute
-	}
-	val := append([]byte(nil), buf[anchorDataOff+keyLen:anchorDataOff+keyLen+valLen]...)
-	return val, hotReadHit
+	return append([]byte(nil), r.value...), hotReadHit
 }
 
 // hotGet attempts the replicated 1-RT fast path: gather the key's routes
@@ -693,7 +422,7 @@ func (c *Client) hotReadRecord(addr mem.Addr, units uint8, key []byte) ([]byte, 
 // with routes kept. Only a verified hit is served.
 func (c *Client) hotGet(key []byte) ([]byte, bool) {
 	hs := c.hotset
-	if hs == nil || !c.hotEnabled() {
+	if hs == nil {
 		return nil, false
 	}
 	hs.FlushRoutes(c.members.Current().Epoch)

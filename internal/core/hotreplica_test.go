@@ -401,27 +401,6 @@ func TestHotDemoteTearsDown(t *testing.T) {
 	warmSearch(t, c, hot, []byte("v"))
 }
 
-// TestHotDisabledIsInert checks the ablation lever: with DisableHot the
-// client neither consults nor maintains the hot layer.
-func TestHotDisabledIsInert(t *testing.T) {
-	f, shared := newHotCluster(t, 3, fabric.InstantConfig(), 3)
-	c := newTestClient(f, shared, Options{DisableHot: true})
-	key := []byte("popular-key")
-	if _, err := c.Insert(key, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		warmSearch(t, c, key, []byte("v"))
-	}
-	st := c.Stats()
-	if st.HotPromotes != 0 || st.HotHits != 0 {
-		t.Errorf("disabled hot layer moved: promotes %d hits %d", st.HotPromotes, st.HotHits)
-	}
-	if c.HotSet() != nil {
-		t.Error("disabled client built a tracker")
-	}
-}
-
 // TestHotPublishGateOpensBeforePlaceholders replays the first-promotion
 // race single-threaded: once a promotion placeholder is discoverable,
 // Published() must already be true, so a write committing between the
@@ -441,21 +420,21 @@ func TestHotPublishGateOpensBeforePlaceholders(t *testing.T) {
 		t.Fatal("Published() true before any hot record exists")
 	}
 	// Promoter phase 1: placeholders become discoverable, versions drawn.
-	targets, _ := c.hotTargets(key, false)
+	targets, _ := c.hot.targetsOf(key, false)
 	if len(targets) == 0 {
 		t.Fatal("no hot targets for key")
 	}
-	// hotTargets returns the client's scratch slice; the Update below
+	// targetsOf returns the store's scratch slice; the Update below
 	// reuses it, so keep a private copy across the race.
 	targets = append([]mem.NodeID(nil), targets...)
-	v0 := c.nextHotVersion()
+	v0 := c.nextVersion()
 	if err := c.hotPlacehold(targets, key, v0); err != nil {
 		t.Fatal(err)
 	}
 	if !shared.Hot.Published() {
 		t.Fatal("Published() false with placeholders discoverable; a racing write would skip the replica refresh")
 	}
-	v1 := c.nextHotVersion()
+	v1 := c.nextVersion()
 	stale, ok, err := c.searchTree(key)
 	if err != nil || !ok {
 		t.Fatalf("authoritative read = %v, %v", ok, err)
@@ -467,17 +446,18 @@ func TestHotPublishGateOpensBeforePlaceholders(t *testing.T) {
 	// Promoter phase 2: swapping the pre-write value in at v1 must lose
 	// on every target; whatever record is servable must hold v2.
 	for _, tgt := range targets {
-		addr, _, ok, err := c.hotSwapIn(tgt, key, stale, v1)
+		res, err := c.hot.put(tgt, key, stale, v1, false)
 		if err != nil {
-			t.Fatalf("hotSwapIn(node %d): %v", tgt, err)
+			t.Fatalf("hot put(node %d): %v", tgt, err)
 		}
-		if !ok {
+		if res.imgLen == 0 {
 			continue // nothing servable there: fine, never stale
 		}
-		st, k, v, _, err := c.readRecord(addr)
+		r, _, err := c.hot.read(res.addr, nil)
 		if err != nil {
-			t.Fatalf("readRecord(node %d): %v", tgt, err)
+			t.Fatalf("read(node %d): %v", tgt, err)
 		}
+		st, k, v := r.status, r.key, r.value
 		if st != wire.StatusIdle || !bytes.Equal(k, key) {
 			t.Fatalf("node %d: servable record status=%v key=%q", tgt, st, k)
 		}

@@ -20,8 +20,8 @@ package core
 import (
 	"sync/atomic"
 
+	"sphinx/internal/consistenthash"
 	"sphinx/internal/mem"
-	"sphinx/internal/racehash"
 	"sphinx/internal/rart"
 	"sphinx/internal/wire"
 )
@@ -168,71 +168,26 @@ func (c *Client) migrateVisit(p *Placement, n *rart.Node, prefix []byte, rep *Mi
 // ring: every live node's table is walked (the union of old and new
 // membership, so a draining node's records are carried off), each record
 // is LWW-republished to the key's new replica targets, and records on
-// nodes that left the key's replica set are retired once every new target
-// confirmed the copy — remove-after-copy, so the replica count never dips
-// below the invariant mid-transition.
+// nodes that left the key's replica set are removed once every new target
+// took the copy (rereplicate with evict).
 func (c *Client) migrateAnchors(p *Placement, rep *MigrateReport) {
-	ft := c.shared.FT
+	var t replicateTally
 	seen := make(map[mem.NodeID]bool)
-	var srcs []mem.NodeID
-	for _, n := range p.Prev.Ring.Nodes() {
-		if !seen[n] {
-			seen[n] = true
-			srcs = append(srcs, n)
+	for _, ring := range []*consistenthash.Ring{p.Prev.Ring, p.Ring} {
+		for _, src := range ring.Nodes() {
+			if seen[src] || !c.shared.FT.Health.Alive(src) {
+				continue
+			}
+			seen[src] = true
+			if err := c.anchors.rereplicate(src, p.Ring, true, &t); err != nil {
+				// The source became unreachable mid-walk; its records stay
+				// for the next sweep, which cannot then report convergence.
+				t.unsettled++
+			}
 		}
 	}
-	for _, n := range p.Ring.Nodes() {
-		if !seen[n] {
-			seen[n] = true
-			srcs = append(srcs, n)
-		}
-	}
-	for _, src := range srcs {
-		if !ft.Health.Alive(src) {
-			continue
-		}
-		view := c.anchorViewOf(src)
-		if view == nil {
-			rep.Remaining++
-			continue
-		}
-		err := view.Walk(func(e wire.HashEntry) error {
-			key, value, ver, err := c.readAnchor(e.Addr)
-			if err != nil {
-				rep.Remaining++
-				return nil
-			}
-			rep.AnchorsScanned++
-			inTargets := false
-			settled := true
-			for _, t := range ft.targets(p.Ring, key) {
-				if t == src {
-					inTargets = true
-					continue
-				}
-				_, wrote, err := c.anchorPutOne(t, key, value, ver)
-				if err != nil {
-					settled = false
-					rep.Remaining++
-					continue
-				}
-				if wrote {
-					rep.AnchorsCopied++
-				}
-			}
-			if !inTargets && settled {
-				if err := view.Remove(racehash.PlacementHash(key), e); err != nil {
-					rep.Remaining++
-				} else {
-					rep.AnchorsRemoved++
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			// The source became unreachable mid-walk; its records stay for
-			// the next sweep, which cannot then report convergence.
-			rep.Remaining++
-		}
-	}
+	rep.AnchorsScanned += t.scanned
+	rep.AnchorsCopied += t.copied
+	rep.AnchorsRemoved += t.removed
+	rep.Remaining += t.unsettled + t.unread
 }

@@ -222,7 +222,7 @@ func (c *Client) searchTree(key []byte) ([]byte, bool, error) {
 		// filter during descents, so widening here would re-detect the
 		// same collision on every retry (§III-B narrowing must survive
 		// restarts).
-		if !bo.Wait() {
+		if !rart.RetryWait(bo, err) {
 			return nil, false, exhausted("search", key, last)
 		}
 	}
@@ -377,13 +377,21 @@ func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
 			case err != nil:
 				return false, err
 			default:
+				// One version, drawn after the tree commit, orders this write
+				// in both record sets. Drawing it here is what lets a hot
+				// promotion trust its own read: a write committing after
+				// the promoter's read outranks the promoter's version.
+				var version uint64
+				if c.anchors != nil || c.hot != nil {
+					version = c.nextVersion()
+				}
 				// Publish-to-completion to the replica set before the write
 				// is acknowledged: from here on, losing any single replica
 				// cannot lose this write. An update-only miss wrote nothing
 				// to the tree, so nothing is published either — except in
 				// degraded mode, where the key may live only in the anchors.
-				if c.shared.FT != nil && (mode == rart.PutUpsert || existed || c.degraded()) {
-					anchorExisted, aerr := c.anchorUpsert(key, value)
+				if c.anchors != nil && (mode == rart.PutUpsert || existed || c.degraded()) {
+					anchorExisted, aerr := c.anchorUpsert(key, value, version)
 					if aerr != nil {
 						return false, aerr
 					}
@@ -393,8 +401,8 @@ func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
 				// records: a promoted key's replicas carry this write (LWW)
 				// before it is acknowledged, so no reader can verify a hit
 				// on the superseded value afterwards.
-				if c.hotEnabled() && (mode == rart.PutUpsert || existed) {
-					if herr := c.hotRefresh(key, value); herr != nil {
+				if c.hot != nil && (mode == rart.PutUpsert || existed) {
+					if herr := c.hotRefresh(key, value, version); herr != nil {
 						return false, herr
 					}
 				}
@@ -410,7 +418,7 @@ func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
 			return false, err
 		}
 		last = err
-		if !bo.Wait() {
+		if !rart.RetryWait(bo, err) {
 			return false, exhausted("put", key, last)
 		}
 	}
@@ -431,7 +439,7 @@ func (c *Client) degradedPut(key, value []byte, mode rart.PutMode) (bool, error)
 			return false, nil
 		}
 	}
-	return c.anchorUpsert(key, value)
+	return c.anchorUpsert(key, value, c.nextVersion())
 }
 
 // Delete removes key (paper §IV Delete), reporting whether it was present.
@@ -465,7 +473,7 @@ func (c *Client) Delete(key []byte) (bool, error) {
 				}
 			}
 			if err == nil {
-				if c.shared.FT != nil {
+				if c.anchors != nil {
 					// Remove the anchors before acknowledging, mirroring the
 					// put path's publish-to-completion.
 					anchorPresent, aerr := c.anchorRemove(key)
@@ -476,7 +484,7 @@ func (c *Client) Delete(key []byte) (bool, error) {
 				}
 				// Hot replica records go before the ack too: a reader must
 				// not verify a hit on a key whose delete was acknowledged.
-				if c.hotEnabled() {
+				if c.hot != nil {
 					if herr := c.hotRemove(key, true); herr != nil {
 						return false, herr
 					}
@@ -498,7 +506,7 @@ func (c *Client) Delete(key []byte) (bool, error) {
 		c.noteRestart(err)
 		last = err
 		maxLen = len(key)
-		if !bo.Wait() {
+		if !rart.RetryWait(bo, err) {
 			return false, exhausted("delete", key, last)
 		}
 	}
@@ -558,7 +566,7 @@ func (c *Client) Scan(lo, hi []byte, limit int) ([]rart.KV, error) {
 		atomic.AddUint64(&c.stats.Restarts, 1)
 		c.noteRestart(err)
 		last = err
-		if !bo.Wait() {
+		if !rart.RetryWait(bo, err) {
 			return nil, exhausted("scan", lo, last)
 		}
 	}

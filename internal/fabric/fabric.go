@@ -310,6 +310,17 @@ func (f *Fabric) node(id mem.NodeID) (*node, error) {
 	return f.nodes[id], nil
 }
 
+// peek reads the word at addr directly, outside any client's verbs: no
+// clock, fault or accounting. Waiters use it only to wake from a wall-
+// clock sleep early (Backoff.WatchAt).
+func (f *Fabric) peek(addr mem.Addr) (uint64, bool) {
+	n, err := f.node(addr.Node())
+	if err != nil {
+		return 0, false
+	}
+	return n.region.ReadUint64(addr.Offset()), true
+}
+
 // RegionSize returns the size of a node's region, so clients can clamp
 // speculative over-reads (e.g., of variable-size leaves) at the region
 // boundary, as a real RDMA client would clamp at its registered MR length.

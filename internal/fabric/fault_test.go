@@ -3,6 +3,7 @@ package fabric
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"sphinx/internal/mem"
 )
@@ -287,5 +288,93 @@ func TestBackoffDeterministicAndCapped(t *testing.T) {
 	// Exponential growth up to the cap: later waits dominate early ones.
 	if w1[10] < w1[0] {
 		t.Errorf("backoff not growing: wait[10]=%d < wait[0]=%d", w1[10], w1[0])
+	}
+}
+
+// TestBackoffWatchOutlastsBudget: a sequence watching another client does
+// not give up before GiveUpGrace, nor presume the holder dead before
+// StallGrace, of wall-clock time, however fast its virtual budget or lease
+// runs out; a changed word starts the watch over. An unwatched sequence
+// still stops at its budget.
+func TestBackoffWatchOutlastsBudget(t *testing.T) {
+	f, _ := newTestFabric(InstantConfig())
+	c := f.NewClient()
+	pol := BackoffPolicy{BasePs: 1000, CapPs: 1000, Budget: 3}
+
+	plain := pol.Start(c)
+	for i := 0; i < 3; i++ {
+		plain.Wait()
+	}
+	if plain.Wait() {
+		t.Fatal("unwatched sequence waited past its budget")
+	}
+
+	watched := pol.Start(c)
+	start := time.Now()
+	watched.Watch(7)
+	waits := 0
+	for watched.Wait() {
+		waits++
+	}
+	if el := time.Since(start); el < GiveUpGrace {
+		t.Errorf("budget ran out after %v, before the %v grace", el, GiveUpGrace)
+	}
+	if waits <= 3 {
+		t.Errorf("watched sequence took %d waits, no more than its budget", waits)
+	}
+
+	steal := pol.Start(c)
+	start = time.Now()
+	steal.Watch(7)
+	steal.Wait()
+	if steal.Stalled(500) {
+		t.Fatal("holder presumed dead as soon as the virtual lease ran out")
+	}
+	if el := time.Since(start); el < StallGrace {
+		t.Errorf("Stalled returned after %v, before the %v grace", el, StallGrace)
+	}
+	if !steal.Stalled(500) {
+		t.Error("unchanged word not stalled after lease and grace")
+	}
+	steal.Watch(8)
+	if steal.Stalled(0) {
+		t.Error("a new word did not restart the watch")
+	}
+}
+
+// TestBackoffWatchAtWakesOnRelease: a grace slept out on a peekable word
+// ends as soon as another client changes the word, at no virtual cost,
+// and the unchanged-word case still waits the full grace.
+func TestBackoffWatchAtWakesOnRelease(t *testing.T) {
+	f, id := newTestFabric(InstantConfig())
+	waiter, holder := f.NewClient(), f.NewClient()
+	addr := mem.NewAddr(id, 4096)
+	if err := holder.WriteUint64(addr, 1); err != nil {
+		t.Fatal(err)
+	}
+	bo := BackoffPolicy{BasePs: 1000, CapPs: 1000, Budget: 1}.Start(waiter)
+	bo.WatchAt(addr, 1)
+	bo.Wait()
+	go func() {
+		time.Sleep(StallGrace / 10)
+		if err := holder.WriteUint64(addr, 0); err != nil {
+			t.Error(err)
+		}
+	}()
+	start, clock, rts := time.Now(), waiter.Clock(), waiter.RoundTrips()
+	if bo.Stalled(1) {
+		t.Fatal("holder presumed dead before any grace")
+	}
+	if el := time.Since(start); el >= StallGrace {
+		t.Errorf("release after %v did not cut the %v grace short (slept %v)", StallGrace/10, StallGrace, el)
+	}
+	if !bo.Wait() {
+		t.Fatal("budget ended a watch before GiveUpGrace")
+	}
+	if el := time.Since(start); el >= GiveUpGrace {
+		t.Errorf("give-up grace on a released word lasted %v", el)
+	}
+	if waiter.RoundTrips() != rts || waiter.Clock()-clock > 1000 {
+		t.Errorf("sleeping out the graces cost %d round trips and %d ps", waiter.RoundTrips()-rts, waiter.Clock()-clock)
 	}
 }

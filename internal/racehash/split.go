@@ -2,7 +2,6 @@ package racehash
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"sphinx/internal/fabric"
@@ -34,7 +33,7 @@ import (
 // directory flips, through the new one after.
 func (v *View) split(h uint64, alloc *mem.Allocator) error {
 	lockAddr := v.t.Meta.Add(metaLockOff)
-	for attempt := 0; ; attempt++ {
+	for bo := peerWaitPolicy.Start(v.c); ; {
 		old, err := v.c.CompareSwap(lockAddr, 0, 1)
 		if err != nil {
 			return err
@@ -42,11 +41,10 @@ func (v *View) split(h uint64, alloc *mem.Allocator) error {
 		if old == 0 {
 			break
 		}
-		if attempt > maxAttempts*64 {
+		bo.WatchAt(lockAddr, old)
+		if !bo.Wait() {
 			return fmt.Errorf("%w: table split lock", ErrRetryExhausted)
 		}
-		v.c.AdvanceClock(1_000_000) // back off 1 µs before re-polling
-		runtime.Gosched()
 	}
 	leftovers, err := v.splitLocked(h, alloc)
 	if uerr := v.c.WriteUint64(lockAddr, 0); uerr != nil && err == nil {
@@ -83,7 +81,7 @@ func (v *View) splitLocked(h uint64, alloc *mem.Allocator) ([]leftover, error) {
 		return nil, err
 	}
 	if p.Valid() {
-		if _, _, ok := p.emptySlot(); ok {
+		if _, ok := p.emptySlot(); ok {
 			return nil, nil
 		}
 	}

@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
 	"sphinx/internal/wire"
 )
@@ -254,5 +256,49 @@ func TestReplaceWaitsForInFlightInsert(t *testing.T) {
 	}
 	if !found {
 		t.Error("new entry missing after waited replace")
+	}
+}
+
+// TestWaitersOutlastStalledSplit: a splitter whose goroutine stalls with
+// the split locks set must not fail the clients waiting on it. The waiter
+// burns its poll budget within milliseconds; it must keep watching until
+// the holder has had fabric.GiveUpGrace to run, and then proceed. The
+// stall outlasts a StallGrace, as it does when the splitter itself sits
+// one out behind another client.
+func TestWaitersOutlastStalledSplit(t *testing.T) {
+	env := newEnv(t, 100)
+	holder := env.f.NewClient()
+	hv := NewView(env.table, holder)
+	h, fp := hashFP(1)
+	if err := hv.ensureDir(); err != nil {
+		t.Fatal(err)
+	}
+	seg, depth := hv.segFor(h)
+	unlocked := packBucketHeader(depth, h&depthMask(depth), false)
+	locked := packBucketHeader(depth, h&depthMask(depth), true)
+	b1, b2 := bucketPair(h)
+	setLock := func(from, to uint64) {
+		t.Helper()
+		for _, b := range []int{b1, b2} {
+			if old, err := holder.CompareSwap(seg.Add(uint64(b)*BucketSize), from, to); err != nil || old != from {
+				t.Fatalf("bucket %d header CAS: old %#x err %v", b, old, err)
+			}
+		}
+	}
+	setLock(unlocked, locked)
+
+	c := env.f.NewClient()
+	alloc := mem.NewAllocator(c, 0)
+	e := env.makeEntry(t, c, alloc, h, fp)
+	done := make(chan error, 1)
+	go func() { done <- NewView(env.table, c).Insert(h, e, alloc) }()
+	time.Sleep(2 * fabric.StallGrace)
+	setLock(locked, unlocked)
+	if err := <-done; err != nil {
+		t.Fatalf("insert behind a stalled split: %v", err)
+	}
+	got, err := hv.Lookup(h, fp)
+	if err != nil || len(got) != 1 || got[0].Entry != e {
+		t.Errorf("lookup after the split cleared = %v, %v; want the inserted entry", got, err)
 	}
 }

@@ -3,7 +3,6 @@ package racehash
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"sphinx/internal/fabric"
@@ -17,6 +16,16 @@ import (
 var ErrRetryExhausted = errors.New("racehash: retries exhausted")
 
 const maxAttempts = 64
+
+// Waits for another client — a split in progress, a publication still in
+// flight — poll every 0.5–1 µs of virtual time. Their budgets count polls,
+// but a watching fabric.Backoff does not give up before
+// fabric.GiveUpGrace of wall-clock time: the other client is a goroutine
+// that may simply not have been scheduled yet.
+var (
+	splitWaitPolicy = fabric.BackoffPolicy{BasePs: 1_000_000, CapPs: 1_000_000, Budget: maxAttempts * 16}
+	peerWaitPolicy  = fabric.BackoffPolicy{BasePs: 1_000_000, CapPs: 1_000_000, Budget: maxAttempts * 64}
+)
 
 // Stats counts a view's table interactions. The view increments the
 // fields atomically and Stats() loads them atomically, so a live metrics
@@ -241,31 +250,32 @@ func (p *PreparedRead) locked() bool {
 // header returns the fetched header word of bucket b (0 or 1).
 func (p *PreparedRead) header(b int) uint64 { return getUint64(p.bufs[b][:]) }
 
-// emptySlot returns the address of the first empty entry slot and the
-// header word of its bucket as observed by this read, or ok=false if both
-// buckets are full.
-func (p *PreparedRead) emptySlot() (slot mem.Addr, hdr uint64, ok bool) {
-	for b := 0; b < 2; b++ {
-		for s := 0; s < EntriesPerBucket; s++ {
-			if getUint64(p.bufs[b][8*(1+s):]) == 0 {
-				return p.addrs[b].Add(uint64(8 * (1 + s))), p.header(b), true
-			}
-		}
-	}
-	return 0, 0, false
+// slotRef is an entry slot picked from a bucket-pair read: the slot, its
+// bucket and the bucket header word that read observed.
+type slotRef struct {
+	slot, bucket mem.Addr
+	hdr          uint64
 }
 
-// find returns the slot currently holding the exact entry word and its
-// bucket's observed header word, if present.
-func (p *PreparedRead) find(word uint64) (slot mem.Addr, hdr uint64, ok bool) {
+// ref returns the slotRef of entry s in fetched bucket b.
+func (p *PreparedRead) ref(b, s int) slotRef {
+	return slotRef{slot: p.addrs[b].Add(uint64(8 * (1 + s))), bucket: p.addrs[b], hdr: p.header(b)}
+}
+
+// emptySlot returns the first empty entry slot, or ok=false if both
+// buckets are full.
+func (p *PreparedRead) emptySlot() (slotRef, bool) { return p.find(0) }
+
+// find returns the slot currently holding the exact entry word, if present.
+func (p *PreparedRead) find(word uint64) (slotRef, bool) {
 	for b := 0; b < 2; b++ {
 		for s := 0; s < EntriesPerBucket; s++ {
 			if getUint64(p.bufs[b][8*(1+s):]) == word {
-				return p.addrs[b].Add(uint64(8 * (1 + s))), p.header(b), true
+				return p.ref(b, s), true
 			}
 		}
 	}
-	return 0, 0, false
+	return slotRef{}, false
 }
 
 // prepareUncached resolves h by reading the meta word and the directory
@@ -352,24 +362,28 @@ func (v *View) LookupAppend(dst []Candidate, h uint64, fp uint16) ([]Candidate, 
 // changed), a split overlapped the CAS and may have missed it; the caller
 // must wait for the split and re-verify. This closes the window between a
 // split's segment snapshot and its old-segment rewrite.
-func (v *View) casChecked(slot mem.Addr, old, new, wantHdr uint64) (won, ambiguous bool, err error) {
-	bucket := mem.NewAddr(slot.Node(), slot.Offset()&^uint64(BucketSize-1))
+//
+// The header is read at the bucket's own address: segments are only
+// 8-byte aligned, so the slot address rounded down to a bucket boundary
+// may land on another bucket's entry.
+func (v *View) casChecked(r slotRef, old, new uint64) (won, ambiguous bool, err error) {
 	var hdr [8]byte
 	ops := []fabric.Op{
-		{Kind: fabric.CAS, Addr: slot, Expect: old, Desired: new},
-		{Kind: fabric.Read, Addr: bucket, Data: hdr[:]},
+		{Kind: fabric.CAS, Addr: r.slot, Expect: old, Desired: new},
+		{Kind: fabric.Read, Addr: r.bucket, Data: hdr[:]},
 	}
 	if err := v.c.Batch(ops); err != nil {
 		return false, false, err
 	}
-	return ops[0].Old == old, getUint64(hdr[:]) != wantHdr, nil
+	return ops[0].Old == old, getUint64(hdr[:]) != r.hdr, nil
 }
 
 // waitSplit polls the candidate buckets of h until no split lock is
 // visible, then returns the fresh read.
 func (v *View) waitSplit(h uint64) (*PreparedRead, error) {
 	atomic.AddUint64(&v.stats.SplitWaits, 1)
-	for attempt := 0; attempt < maxAttempts*16; attempt++ {
+	bo := splitWaitPolicy.Start(v.c)
+	for {
 		p, err := v.read(h)
 		if err != nil {
 			return nil, err
@@ -377,12 +391,11 @@ func (v *View) waitSplit(h uint64) (*PreparedRead, error) {
 		if !p.locked() {
 			return p, nil
 		}
-		// Model a brief backoff before polling again; Gosched lets the
-		// goroutine driving the split make progress on a busy machine.
-		v.c.AdvanceClock(500_000) // 0.5 µs
-		runtime.Gosched()
+		bo.WatchAt(p.addrs[0], p.header(0))
+		if !bo.Wait() {
+			return nil, fmt.Errorf("%w: split lock never cleared for h=%#x", ErrRetryExhausted, h)
+		}
 	}
-	return nil, fmt.Errorf("%w: split lock never cleared for h=%#x", ErrRetryExhausted, h)
 }
 
 // Insert adds an entry for placement hash h. If the entry word is already
@@ -403,10 +416,10 @@ func (v *View) Insert(h uint64, e wire.HashEntry, alloc *mem.Allocator) error {
 			}
 			continue
 		}
-		if _, _, ok := p.find(word); ok {
+		if _, ok := p.find(word); ok {
 			return nil
 		}
-		slot, hdr, ok := p.emptySlot()
+		slot, ok := p.emptySlot()
 		if !ok {
 			atomic.AddUint64(&v.stats.BucketOverflows, 1)
 			if err := v.split(h, alloc); err != nil {
@@ -414,7 +427,7 @@ func (v *View) Insert(h uint64, e wire.HashEntry, alloc *mem.Allocator) error {
 			}
 			continue
 		}
-		won, ambiguous, err := v.casChecked(slot, 0, word, hdr)
+		won, ambiguous, err := v.casChecked(slot, 0, word)
 		if err != nil {
 			return err
 		}
@@ -433,13 +446,13 @@ func (v *View) Insert(h uint64, e wire.HashEntry, alloc *mem.Allocator) error {
 		if err != nil {
 			return err
 		}
-		if _, _, ok := q.find(word); ok {
+		if _, ok := q.find(word); ok {
 			return nil
 		}
 		// Lost to the rewrite. Best-effort cleanup of the orphan word in
 		// case it survived in a segment that is no longer this hash's
 		// home, then retry the insert from scratch.
-		if _, err := v.c.CompareSwap(slot, word, 0); err != nil {
+		if _, err := v.c.CompareSwap(slot.slot, word, 0); err != nil {
 			return err
 		}
 	}
@@ -453,7 +466,7 @@ func (v *View) Insert(h uint64, e wire.HashEntry, alloc *mem.Allocator) error {
 func (v *View) Replace(h uint64, old, new wire.HashEntry) error {
 	atomic.AddUint64(&v.stats.Replaces, 1)
 	oldWord, newWord := old.Encode(), new.Encode()
-	waits := 0
+	var pub *fabric.Backoff
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		p, err := v.read(h)
 		if err != nil {
@@ -465,10 +478,10 @@ func (v *View) Replace(h uint64, old, new wire.HashEntry) error {
 			}
 			continue
 		}
-		if _, _, ok := p.find(newWord); ok {
+		if _, ok := p.find(newWord); ok {
 			return nil
 		}
-		slot, hdr, ok := p.find(oldWord)
+		slot, ok := p.find(oldWord)
 		if !ok {
 			// The old entry's own publication can still be in flight: a
 			// node becomes reachable through the tree (and thus
@@ -476,15 +489,17 @@ func (v *View) Replace(h uint64, old, new wire.HashEntry) error {
 			// insert is guaranteed to complete, so wait for it rather
 			// than failing the switch — on a budget independent of the
 			// CAS retry budget.
-			if waits++; waits > maxAttempts*64 {
+			if pub == nil {
+				pub = peerWaitPolicy.Start(v.c)
+				pub.Watch(0)
+			}
+			if !pub.Wait() {
 				return fmt.Errorf("%w: replace target never appeared for h=%#x", ErrRetryExhausted, h)
 			}
 			attempt--
-			v.c.AdvanceClock(500_000)
-			runtime.Gosched()
 			continue
 		}
-		won, ambiguous, err := v.casChecked(slot, oldWord, newWord, hdr)
+		won, ambiguous, err := v.casChecked(slot, oldWord, newWord)
 		if err != nil {
 			return err
 		}
@@ -497,12 +512,12 @@ func (v *View) Replace(h uint64, old, new wire.HashEntry) error {
 			if err != nil {
 				return err
 			}
-			if _, _, ok := q.find(newWord); ok {
+			if _, ok := q.find(newWord); ok {
 				return nil
 			}
 			// The split captured the pre-CAS image: the old word is live
 			// again somewhere; loop and redo the replace.
-			if _, err := v.c.CompareSwap(slot, newWord, 0); err != nil {
+			if _, err := v.c.CompareSwap(slot.slot, newWord, 0); err != nil {
 				return err
 			}
 		}
@@ -531,14 +546,14 @@ func (v *View) SwapIfPresent(h uint64, old, new wire.HashEntry) (bool, error) {
 			}
 			continue
 		}
-		if _, _, ok := p.find(newWord); ok {
+		if _, ok := p.find(newWord); ok {
 			return true, nil
 		}
-		slot, hdr, ok := p.find(oldWord)
+		slot, ok := p.find(oldWord)
 		if !ok {
 			return false, nil
 		}
-		won, ambiguous, err := v.casChecked(slot, oldWord, newWord, hdr)
+		won, ambiguous, err := v.casChecked(slot, oldWord, newWord)
 		if err != nil {
 			return false, err
 		}
@@ -551,12 +566,12 @@ func (v *View) SwapIfPresent(h uint64, old, new wire.HashEntry) (bool, error) {
 			if err != nil {
 				return false, err
 			}
-			if _, _, ok := q.find(newWord); ok {
+			if _, ok := q.find(newWord); ok {
 				return true, nil
 			}
 			// The split captured the pre-CAS image: clean our orphan and
 			// redo from the re-read.
-			if _, err := v.c.CompareSwap(slot, newWord, 0); err != nil {
+			if _, err := v.c.CompareSwap(slot.slot, newWord, 0); err != nil {
 				return false, err
 			}
 		}
@@ -580,11 +595,11 @@ func (v *View) Remove(h uint64, old wire.HashEntry) error {
 			}
 			continue
 		}
-		slot, hdr, ok := p.find(oldWord)
+		slot, ok := p.find(oldWord)
 		if !ok {
 			return nil
 		}
-		won, ambiguous, err := v.casChecked(slot, oldWord, 0, hdr)
+		won, ambiguous, err := v.casChecked(slot, oldWord, 0)
 		if err != nil {
 			return err
 		}

@@ -73,6 +73,35 @@ func TestInsertLookup(t *testing.T) {
 	}
 }
 
+// TestUncontendedWritesAreNotAmbiguous: with no split running, an entry
+// CAS re-reads its bucket header unchanged, so no write pays a split wait
+// or a stale check. A depth-0 table's 8-byte directory leaves its segment
+// off a 64-byte boundary, where rounding the slot address down to find
+// the header reads another bucket's entry instead.
+func TestUncontendedWritesAreNotAmbiguous(t *testing.T) {
+	env := newEnv(t, 100)
+	c := env.f.NewClient()
+	alloc := mem.NewAllocator(c, 0)
+	v := NewView(env.table, c)
+	for i := 0; i < 20; i++ {
+		h, fp := hashFP(i)
+		e := env.makeEntry(t, c, alloc, h, fp)
+		if err := v.Insert(h, e, alloc); err != nil {
+			t.Fatal(err)
+		}
+		moved := env.makeEntry(t, c, alloc, h, fp)
+		if err := v.Replace(h, e, moved); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Remove(h, moved); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := v.Stats(); st.StaleChecks != 0 || st.SplitWaits != 0 {
+		t.Errorf("uncontended writes: %d stale checks, %d split waits; want 0", st.StaleChecks, st.SplitWaits)
+	}
+}
+
 func TestLookupMiss(t *testing.T) {
 	env := newEnv(t, 100)
 	c := env.f.NewClient()

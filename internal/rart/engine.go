@@ -192,6 +192,17 @@ func (e *Engine) Backoff() *fabric.Backoff {
 	return pol.Start(e.C)
 }
 
+// RetryWait backs off before an operation-level retry after err. A
+// restart means another client's structural change is still in flight
+// (a type switch or a publication not yet visible), so the wait watches
+// for it: the budget does not run out before fabric.GiveUpGrace.
+func RetryWait(bo *fabric.Backoff, err error) bool {
+	if errors.Is(err, ErrRestart) {
+		bo.Watch(0)
+	}
+	return bo.Wait()
+}
+
 // NewEngine creates an engine over the given client.
 func NewEngine(c *fabric.Client, alloc *mem.Allocator, ring *consistenthash.Ring, cfg Config) *Engine {
 	return &Engine{C: c, Alloc: alloc, Ring: ring, Cfg: cfg, regionSizes: make(map[mem.NodeID]uint64)}
@@ -302,7 +313,6 @@ func (e *Engine) ReadLeaf(addr mem.Addr) (*Leaf, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafRead))
 	want := e.clampRead(addr, uint64(e.Cfg.leafSpecRead()))
 	bo := e.Backoff()
-	var watching uint64
 	for {
 		buf := e.grabBuf(want)
 		if err := e.C.Read(addr, buf); err != nil {
@@ -329,10 +339,8 @@ func (e *Engine) ReadLeaf(addr mem.Addr) (*Leaf, error) {
 			// a live writer finishes with a single WRITE, so retry shortly.
 			e.ReleaseBuf(buf)
 			if hdr.Status == wire.StatusLocked {
-				if hdrWord != watching {
-					watching = hdrWord
-					bo.ResetWatch()
-				} else if bo.WaitedPs() >= e.Cfg.leasePs() {
+				bo.WatchAt(addr, hdrWord)
+				if bo.Stalled(e.Cfg.leasePs()) {
 					old, err := e.C.CompareSwap(addr, hdrWord, wire.WithStatus(hdrWord, wire.StatusIdle))
 					if err != nil {
 						return nil, err
@@ -340,7 +348,6 @@ func (e *Engine) ReadLeaf(addr mem.Addr) (*Leaf, error) {
 					if old == hdrWord {
 						atomic.AddUint64(&e.stats.LeafLockBreaks, 1)
 					}
-					watching = 0
 					bo.ResetWatch()
 					continue
 				}
@@ -482,7 +489,9 @@ func (e *Engine) Lock(addr mem.Addr, hint wire.NodeType, expectLease uint64) (*N
 	bo := e.Backoff()
 	expect := expectLease
 	tryCAS := expect == 0 || wire.LeaseOwnedBy(expect, owner)
-	watching := expectLease
+	if !tryCAS {
+		bo.WatchAt(leaseAddr, expectLease)
+	}
 	var opsArr [2]fabric.Op
 	for {
 		buf := e.grabBuf(want)
@@ -545,15 +554,11 @@ func (e *Engine) Lock(addr mem.Addr, hint wire.NodeType, expectLease uint64) (*N
 		case wire.LeaseOwnedBy(lease, owner):
 			// Our own abandoned lease: reclaim without waiting it out.
 			tryCAS, expect = true, lease
-		case lease == watching && bo.WaitedPs() >= e.Cfg.leasePs():
-			// Same holder for a full lease of our waiting: presume dead.
-			tryCAS, expect = true, lease
 		default:
-			if lease != watching {
-				watching = lease
-				bo.ResetWatch()
-			}
-			tryCAS = false
+			// Another client's lease. The same word watched for a full
+			// lease of our waiting presumes the holder dead.
+			bo.WatchAt(leaseAddr, lease)
+			tryCAS, expect = bo.Stalled(e.Cfg.leasePs()), lease
 		}
 		if !bo.Wait() {
 			return nil, fmt.Errorf("%w: lock on %v", ErrRetriesExhausted, addr)

@@ -671,7 +671,6 @@ func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte) error {
 	}.Encode()
 	locked := false
 	bo := e.Backoff()
-	var watching uint64
 	for {
 		lockedWord := wire.WithStatus(idleWord, wire.StatusLocked)
 		old, err := e.C.CompareSwap(leaf.Addr, idleWord, lockedWord)
@@ -687,10 +686,8 @@ func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte) error {
 		case wire.StatusInvalid:
 			return fmt.Errorf("update: leaf %v invalidated: %w", leaf.Addr, ErrRestart)
 		case wire.StatusLocked:
-			if old != watching {
-				watching = old
-				bo.ResetWatch()
-			} else if bo.WaitedPs() >= e.Cfg.leasePs() {
+			bo.WatchAt(leaf.Addr, old)
+			if bo.Stalled(e.Cfg.leasePs()) {
 				// Stuck lock: restore Idle over the intact old image and
 				// retry the acquisition CAS from that word.
 				if broke, err := e.C.CompareSwap(leaf.Addr, old, wire.WithStatus(old, wire.StatusIdle)); err != nil {
@@ -699,7 +696,6 @@ func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte) error {
 					atomic.AddUint64(&e.stats.LeafLockBreaks, 1)
 				}
 				idleWord = wire.WithStatus(old, wire.StatusIdle)
-				watching = 0
 				bo.ResetWatch()
 			}
 		default:

@@ -297,7 +297,7 @@ func (c *Client) Search(key []byte) ([]byte, bool, error) {
 		}
 		if retriable(err) {
 			c.stats.Restarts++
-			if bo.Wait() {
+			if rart.RetryWait(bo, err) {
 				continue
 			}
 			return nil, false, fmt.Errorf("%w: smart search for %q", rart.ErrRetriesExhausted, key)
@@ -349,7 +349,7 @@ func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
 		default:
 			return existed, nil
 		}
-		if !bo.Wait() {
+		if !rart.RetryWait(bo, err) {
 			return false, fmt.Errorf("%w: smart put for %q", rart.ErrRetriesExhausted, key)
 		}
 	}
@@ -369,7 +369,7 @@ func (c *Client) Delete(key []byte) (bool, error) {
 		}
 		if retriable(err) {
 			c.stats.Restarts++
-			if bo.Wait() {
+			if rart.RetryWait(bo, err) {
 				continue
 			}
 			return false, fmt.Errorf("%w: smart delete for %q", rart.ErrRetriesExhausted, key)
@@ -396,7 +396,7 @@ func (c *Client) Scan(lo, hi []byte, limit int) ([]rart.KV, error) {
 			return nil, err
 		}
 		c.stats.Restarts++
-		if !bo.Wait() {
+		if !rart.RetryWait(bo, err) {
 			return nil, fmt.Errorf("%w: smart scan", rart.ErrRetriesExhausted)
 		}
 	}

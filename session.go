@@ -80,7 +80,6 @@ func (cn *ComputeNode) NewSession() *Session {
 			DisableLeafCache: c.cfg.DisableLeafCache,
 			Hot:              cn.hotset,
 			HotSetBytes:      int(c.cfg.HotSetBytes),
-			DisableHot:       c.cfg.DisableHotReplicas,
 			Index:            s.index,
 		})
 		s.sphinx.SetRecorder(s.tailRec)
