@@ -1,22 +1,27 @@
-// Command sphinxbench regenerates the paper's evaluation figures on the
-// simulated disaggregated-memory cluster.
+// Command sphinxbench regenerates the paper's evaluation figures and this
+// repository's extension experiments on the simulated
+// disaggregated-memory cluster.
 //
 // Usage:
 //
-//	sphinxbench [flags] fig4|fig5|fig6|ablation|all
+//	sphinxbench [flags] fig4|fig5|fig6|ablation|scaling|treedepth|valsweep|pipeline|fastpath|failover|elastic|skew|all
 //
 // Each experiment prints an aligned table; see EXPERIMENTS.md for the
-// mapping to the paper's figures and the expected shapes.
+// mapping to the paper's figures and the expected shapes. -json writes
+// one BENCH_<experiment>.json per experiment. Every report carries
+// verdicts (reconciliation identities and acceptance gates); the command
+// prints each false one and exits 1 if there is any.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
-
 	"time"
 
 	"sphinx/internal/bench"
@@ -39,7 +44,7 @@ func main() {
 	csvPath := flag.String("csv", "", "also write results as CSV to this file")
 	depth := flag.Int("depth", 1, "per-worker issue depth: in-flight ops per worker with coalesced doorbell batches (Sphinx-family only; pipeline sweeps its own)")
 	jsonDir := flag.String("json", "", "also write BENCH_<experiment>.json reports into this directory")
-	metrics := flag.Bool("metrics", false, "record per-op and per-stage histograms and emit a metrics section per result (fails the run if round-trip totals do not reconcile)")
+	metrics := flag.Bool("metrics", false, "record per-op and per-stage histograms and emit a metrics section and round-trip reconciliation verdicts per result")
 	serveAddr := flag.String("serve", "", "serve live observability HTTP on this address while experiments run (host:0 for an ephemeral port): /metrics, /snapshot, /traces, /debug/pprof")
 	serveLinger := flag.Duration("serve-linger", 0, "with -serve, keep serving this long after the experiments finish (lets scrapers read final totals)")
 	scaleWorkers := flag.String("scale-workers", "", "comma-separated worker counts for the scaling experiment (default 1,2,4,8,16)")
@@ -107,8 +112,7 @@ func main() {
 		h := obs.NewHandler(obs.ServeOptions{Registry: live.Registry(), Tail: live.Tail, Plane: live.Plane})
 		_, bound, err := obs.Serve(*serveAddr, h)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sphinxbench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		// Sample the plane on the wall clock for as long as we serve —
 		// /mn, /slo and /alerts then move while experiments run and keep
@@ -119,78 +123,66 @@ func main() {
 
 	var collected []bench.Result
 	reports := map[string]*bench.JSONReport{}
-	report := func(name string) *bench.JSONReport {
-		if reports[name] == nil {
-			rep := bench.NewJSONReport(name, base)
-			reports[name] = &rep
-		}
-		return reports[name]
-	}
+	checked, failed := 0, 0
 	run := func(name string) error {
 		for _, cfg := range cfgs {
-			var results []bench.Result
+			// part is this dataset's share of the experiment's report.
+			var part bench.JSONReport
 			var err error
 			switch name {
 			case "fig4":
-				results, err = bench.Fig4(cfg, nil, os.Stdout)
-				printDiags(results, *stats)
+				part.Results, part.Verdicts, err = bench.Fig4(cfg, nil, os.Stdout)
+				printDiags(part.Results, *stats)
 			case "fig5":
-				results, err = bench.Fig5(cfg, nil, nil, os.Stdout)
-				printDiags(results, *stats)
+				part.Results, err = bench.Fig5(cfg, nil, nil, os.Stdout)
+				printDiags(part.Results, *stats)
 			case "fig6":
-				var usages []bench.MemUsage
-				usages, err = bench.Fig6(cfg, os.Stdout)
-				if err == nil {
-					rep := report(name)
-					rep.MemUsages = append(rep.MemUsages, usages...)
-				}
+				part.MemUsages, err = bench.Fig6(cfg, os.Stdout)
 			case "ablation":
-				results, err = bench.Ablation(cfg, os.Stdout)
+				part.Results, err = bench.Ablation(cfg, os.Stdout)
 			case "scaling":
 				var steps []int
 				steps, err = parseWorkerSteps(*scaleWorkers)
 				if err == nil {
-					results, err = bench.WorkerScaling(cfg, steps, os.Stdout)
+					part.Results, part.Verdicts, err = bench.WorkerScaling(cfg, steps, os.Stdout)
 				}
 			case "treedepth":
-				results, err = bench.TreeDepthScaling(cfg, nil, os.Stdout)
+				part.Results, err = bench.TreeDepthScaling(cfg, nil, os.Stdout)
 			case "valsweep":
-				results, err = bench.ValueSweep(cfg, nil, os.Stdout)
+				part.Results, err = bench.ValueSweep(cfg, nil, os.Stdout)
 			case "pipeline":
-				results, err = bench.PipelineSweep(cfg, nil, os.Stdout)
-				printDiags(results, *stats)
+				part.Results, part.Verdicts, err = bench.PipelineSweep(cfg, nil, os.Stdout)
+				printDiags(part.Results, *stats)
 			case "fastpath":
-				results, err = bench.Fastpath(cfg, os.Stdout)
-				printDiags(results, *stats)
+				part.Results, part.Verdicts, err = bench.Fastpath(cfg, os.Stdout)
+				printDiags(part.Results, *stats)
 			case "failover":
-				var frep *bench.FailoverReport
-				frep, err = bench.Failover(cfg, os.Stdout)
-				if err == nil {
-					report(name).Failover = frep
-				}
+				part.Failover, err = bench.Failover(cfg, os.Stdout)
 			case "elastic":
-				var erep *bench.ElasticReport
-				results, erep, err = bench.Elastic(cfg, os.Stdout)
-				if err == nil {
-					report(name).Elastic = erep
-				}
+				part.Results, part.Elastic, err = bench.Elastic(cfg, os.Stdout)
 			case "skew":
-				var srep *bench.SkewReport
-				results, srep, err = bench.Skew(cfg, nil, os.Stdout)
-				if err == nil {
-					report(name).Skew = srep
-				}
+				part.Results, part.Skew, err = bench.Skew(cfg, nil, os.Stdout)
 			default:
 				return fmt.Errorf("unknown experiment %q", name)
 			}
 			if err != nil {
 				return err
 			}
-			if len(results) > 0 {
-				collected = append(collected, results...)
-				rep := report(name)
-				rep.Results = append(rep.Results, results...)
+			// Verdicts are checked per dataset: the chaos and skew
+			// sub-reports of an earlier dataset are replaced below.
+			c, f := failedVerdicts(name+"/"+cfg.Dataset.String(), &part, os.Stderr)
+			checked, failed = checked+c, failed+f
+			collected = append(collected, part.Results...)
+			rep := reports[name]
+			if rep == nil {
+				r := bench.NewJSONReport(name, base)
+				rep = &r
+				reports[name] = rep
 			}
+			rep.Results = append(rep.Results, part.Results...)
+			rep.MemUsages = append(rep.MemUsages, part.MemUsages...)
+			rep.Verdicts = append(rep.Verdicts, part.Verdicts...)
+			rep.Failover, rep.Elastic, rep.Skew = part.Failover, part.Elastic, part.Skew
 			fmt.Println()
 		}
 		return nil
@@ -207,92 +199,62 @@ func main() {
 		err = run(flag.Arg(0))
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sphinxbench:", err)
-		os.Exit(1)
-	}
-	if *metrics {
-		// The metrics section is only trustworthy if its histograms account
-		// for every round trip the fabric counted. Baselines may hold
-		// round trips outside per-op attribution, so only the Sphinx-family
-		// verdicts are hard failures.
-		bad := 0
-		for _, r := range collected {
-			if r.Metrics == nil {
-				continue
-			}
-			if !r.Metrics.RTReconciled && strings.HasPrefix(r.System, "Sphinx") {
-				fmt.Fprintf(os.Stderr, "sphinxbench: %s %s depth=%d: round trips do not reconcile (op %d, stage %d, fabric %d)\n",
-					r.System, r.Workload, r.Depth,
-					r.Metrics.OpRTTotal, r.Metrics.StageRTTotal, r.Metrics.FabricRoundTrips)
-				bad++
-			}
-			if l := r.Metrics.LAC; l != nil && l.LACReconciled != nil && !*l.LACReconciled {
-				fmt.Fprintf(os.Stderr, "sphinxbench: %s %s depth=%d: speculative round trips do not reconcile (hits %d, refutes %d, aborts %d, fabric %d)\n",
-					r.System, r.Workload, r.Depth,
-					l.SpecHits, l.SpecRefutes, l.SpecAborts, r.Metrics.FabricRoundTrips)
-				bad++
-			}
-			if h := r.Metrics.Hot; h != nil && h.HotReconciled != nil && !*h.HotReconciled {
-				fmt.Fprintf(os.Stderr, "sphinxbench: %s %s depth=%d: hot-replica round trips do not reconcile (hits %d, refutes %d, aborts %d)\n",
-					r.System, r.Workload, r.Depth, h.HotHits, h.HotRefutes, h.HotAborts)
-				bad++
-			}
-		}
-		if bad > 0 {
-			fmt.Fprintf(os.Stderr, "sphinxbench: %d result(s) failed metrics reconciliation\n", bad)
-			os.Exit(1)
-		}
-	}
-	// The skew experiment carries its own acceptance gate: hot-replicated
-	// throughput at theta=0.99, flattened per-MN imbalance, and the
-	// trust-but-verify reconciliation of every replica read. A failed
-	// gate fails the run regardless of -metrics (the experiment forces
-	// metrics on internally).
-	if rep := reports["skew"]; rep != nil && rep.Skew != nil && !rep.Skew.Pass {
-		fmt.Fprintf(os.Stderr, "sphinxbench: skew gate failed (speedup@0.99 %.2f, gate %.1fx)\n",
-			rep.Skew.SpeedupAt099, rep.Skew.Gate)
-		os.Exit(1)
+		fatal(err)
 	}
 	if *jsonDir != "" {
 		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "sphinxbench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		for name, rep := range reports {
 			path := filepath.Join(*jsonDir, "BENCH_"+name+".json")
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sphinxbench:", err)
-				os.Exit(1)
+			var buf bytes.Buffer
+			if err := rep.WriteJSON(&buf); err != nil {
+				fatal(err)
 			}
-			err = rep.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sphinxbench:", err)
-				os.Exit(1)
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}
 	}
 	if *csvPath != "" && len(collected) > 0 {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sphinxbench:", err)
-			os.Exit(1)
+		var buf bytes.Buffer
+		if err := bench.WriteCSV(collected, &buf); err != nil {
+			fatal(err)
 		}
-		defer f.Close()
-		if err := bench.WriteCSV(collected, f); err != nil {
-			fmt.Fprintln(os.Stderr, "sphinxbench:", err)
-			os.Exit(1)
+		if err := os.WriteFile(*csvPath, buf.Bytes(), 0o644); err != nil {
+			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d rows to %s\n", len(collected), *csvPath)
+	}
+	fmt.Fprintf(os.Stderr, "sphinxbench: %d verdicts, %d failed\n", checked, failed)
+	if failed > 0 {
+		os.Exit(1)
 	}
 	if live != nil && *serveLinger > 0 {
 		fmt.Fprintf(os.Stderr, "lingering %v for final scrapes\n", *serveLinger)
 		time.Sleep(*serveLinger)
 	}
+}
+
+// fatal reports err and exits 1.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "sphinxbench:", err)
+	os.Exit(1)
+}
+
+// failedVerdicts prints each false verdict of the report as
+// "label name lhs rhs" and returns how many verdicts it checked and how
+// many failed.
+func failedVerdicts(label string, rep *bench.JSONReport, w io.Writer) (checked, failed int) {
+	for _, v := range rep.AllVerdicts() {
+		checked++
+		if !v.Pass {
+			failed++
+			fmt.Fprintf(w, "sphinxbench: verdict failed: %s %s %g %g\n", label, v.Name, v.LHS, v.RHS)
+		}
+	}
+	return checked, failed
 }
 
 // parseWorkerSteps parses the -scale-workers flag ("1,4,16"); empty

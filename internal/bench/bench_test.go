@@ -215,7 +215,7 @@ func TestWorkerScalingShape(t *testing.T) {
 	base := smallConfig(dataset.U64)
 	base.Keys = 2000
 	base.OpsPerWorker = 60
-	results, err := WorkerScaling(base, []int{1, 2}, &sb)
+	results, _, err := WorkerScaling(base, []int{1, 2}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestPipelineSpeedup(t *testing.T) {
 func TestPipelineSweepRuns(t *testing.T) {
 	cfg := smallConfig(dataset.U64)
 	var buf bytes.Buffer
-	results, err := PipelineSweep(cfg, []int{1, 4}, &buf)
+	results, _, err := PipelineSweep(cfg, []int{1, 4}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

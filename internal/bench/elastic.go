@@ -46,12 +46,10 @@ type MNWindow struct {
 	MaxShare    float64  `json:"max_share"`
 	MinShare    float64  `json:"min_share"`
 	MaxMinRatio float64  `json:"max_min_ratio"`
-	// ClientRTs is the sum of the window's worker-client round-trip
-	// counters; RTsReconciled is the per-MN attribution check — the
-	// windowed per-NIC RoundTrips must sum to exactly ClientRTs (steady
-	// windows have no other traffic source).
-	ClientRTs     uint64 `json:"client_rts,omitempty"`
-	RTsReconciled *bool  `json:"rts_reconciled,omitempty"`
+	// Verdicts holds the window's rts_reconciled identity: the windowed
+	// per-NIC RoundTrips sum to exactly the worker clients' own round-trip
+	// counters (steady windows have no other traffic source).
+	Verdicts []Verdict `json:"verdicts,omitempty"`
 }
 
 // ElasticSLOPhase is one ledgered phase's verdict against the chaos
@@ -97,8 +95,7 @@ type ElasticChaos struct {
 // ElasticReport is the elastic-membership chaos experiment's result: did
 // a mid-run scale-out and scale-in lose any acknowledged write, did
 // migration converge and cut over, and did per-MN load actually
-// rebalance. The CI elastic-smoke gate reads LostAckedWrites,
-// LostAfterDecommission, FinalEpoch/Converged and the window shares.
+// rebalance. Verdicts holds the answers (see gates).
 type ElasticReport struct {
 	System      string `json:"system"`
 	MNsStart    int    `json:"mns_start"`
@@ -132,13 +129,8 @@ type ElasticReport struct {
 	// Steady-state per-MN load windows: before the add (the new node is
 	// attached but serves nothing), after the add cut over (it must carry
 	// a fair share), and after the drain cut over (the drained node must
-	// be idle).
+	// be idle). The gates read the added and drained nodes' shares here.
 	Windows []MNWindow `json:"windows"`
-	// AddedShareBefore/After and DrainedShareAfter are the headline
-	// rebalancing numbers, duplicated out of Windows for easy gating.
-	AddedShareBefore  float64 `json:"added_share_before"`
-	AddedShareAfter   float64 `json:"added_share_after"`
-	DrainedShareAfter float64 `json:"drained_share_after"`
 
 	// SLO is the read-latency objective of the chaos run, calibrated
 	// from a full-contention warm pass before the first window
@@ -152,6 +144,8 @@ type ElasticReport struct {
 	// the rebalancing story in time-series form), SLO statuses and alert
 	// states.
 	Plane *obs.PlaneSnapshot `json:"plane,omitempty"`
+
+	Verdicts []Verdict `json:"verdicts"`
 }
 
 // ElasticMNSweep is the default MN-count sweep of the elastic experiment.
@@ -285,9 +279,6 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 		return nil, nil, err
 	}
 	rep.Windows = []MNWindow{w1, w2, w3}
-	rep.AddedShareBefore = shareOf(w1, int(added))
-	rep.AddedShareAfter = shareOf(w2, int(added))
-	rep.DrainedShareAfter = shareOf(w3, int(victim))
 
 	p := cl.sphinxShared.Members.Current()
 	rep.FinalEpoch = p.Epoch
@@ -323,12 +314,8 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 		rep.Add.SpecRefutes, rep.Drain.SpecRefutes,
 		rep.Add.FalsePositives, rep.Drain.FalsePositives)
 	for _, w := range rep.Windows {
-		recon := "-"
-		if w.RTsReconciled != nil {
-			recon = fmt.Sprintf("%v", *w.RTsReconciled)
-		}
-		fmt.Fprintf(out, "window %-10s members %v  max/min share %.3f/%.3f  ratio %.2f  rts reconciled %s\n",
-			w.Window, w.Members, w.MaxShare, w.MinShare, w.MaxMinRatio, recon)
+		fmt.Fprintf(out, "window %-10s members %v  max/min share %.3f/%.3f  ratio %.2f\n",
+			w.Window, w.Members, w.MaxShare, w.MinShare, w.MaxMinRatio)
 	}
 	fmt.Fprintf(out, "SLO %s: %.0f%% of reads under %.2f µs (calibrated)\n",
 		rep.SLO.Name, rep.SLO.Quantile*100, float64(rep.SLO.LatencyPs)/1e6)
@@ -337,12 +324,98 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 			sp.Phase, sp.Ops, sp.Bad, sp.Burn, float64(sp.P99Ps)/1e6, float64(sp.MaxPs)/1e6)
 	}
 	fmt.Fprintf(out, "added-node share %.3f -> %.3f, drained-node share -> %.3f\n",
-		rep.AddedShareBefore, rep.AddedShareAfter, rep.DrainedShareAfter)
+		shareOf(w1, rep.AddedNode), shareOf(w2, rep.AddedNode), shareOf(w3, rep.DrainedNode))
 	fmt.Fprintf(out, "acked writes %d, verified %d: lost %d, wrong %d; after decommission kill: lost %d, wrong %d\n",
 		rep.AckedWrites, rep.VerifiedReads, rep.LostAckedWrites, rep.WrongValueReads,
 		rep.LostAfterDecommission, rep.WrongAfterDecommission)
 	fmt.Fprintf(out, "final epoch %d converged %v cutovers %d\n", rep.FinalEpoch, rep.Converged, rep.Cutovers)
+	rep.Verdicts = rep.gates()
 	return results, rep, nil
+}
+
+// gates evaluates the chaos run's verdicts from the report alone: no
+// acked write lost or stale, even after the drained node is killed; both
+// transitions moved leaves and cut over (epoch 2); the added node goes
+// from nothing to half its fair share, relieving the hottest member, and
+// the drained node ends near idle; every window reconciles; the SLO burns
+// only in the drain; the plane's share series agree. Missing inputs fail.
+func (rep *ElasticReport) gates() []Verdict {
+	fair := 1 / float64(rep.MNsStart+1)
+	vs := []Verdict{
+		atLeast("acked_writes", rep.AckedWrites, 1),
+		equal("verified_reads", rep.VerifiedReads, rep.AckedWrites),
+		equal("lost_acked_writes", rep.LostAckedWrites, 0),
+		equal("wrong_value_reads", rep.WrongValueReads, 0),
+		equal("lost_after_decommission", rep.LostAfterDecommission, 0),
+		equal("wrong_after_decommission", rep.WrongAfterDecommission, 0),
+		{Name: "converged", Pass: rep.Converged},
+		equal("final_epoch", rep.FinalEpoch, 2),
+		equal("cutovers", rep.Cutovers, 2),
+		atLeast("add_moved_leaves", rep.Add.MovedLeaves, 1),
+		atLeast("drain_moved_leaves", rep.Drain.MovedLeaves, 1),
+		equal("windows", len(rep.Windows), 3),
+	}
+	if len(rep.Windows) == 3 {
+		pre, postAdd, postDrain := rep.Windows[0], rep.Windows[1], rep.Windows[2]
+		vs = append(vs,
+			below("added_share_before", shareOf(pre, rep.AddedNode), 0.02),
+			atLeast("added_share_after", shareOf(postAdd, rep.AddedNode), fair/2),
+			below("drained_share_after", shareOf(postDrain, rep.DrainedNode), 0.05),
+			above("post_add_min_share", postAdd.MinShare, 0),
+			below("post_add_max_share", postAdd.MaxShare, pre.MaxShare))
+	}
+	for _, w := range rep.Windows {
+		vs = append(vs, require("rts_reconciled["+w.Window+"]", w.Verdicts, "rts_reconciled"))
+	}
+
+	var sloPs uint64
+	if rep.SLO != nil {
+		sloPs = rep.SLO.LatencyPs
+	}
+	vs = append(vs, atLeast("slo_latency_ps", sloPs, 1))
+	phases := map[string]ElasticSLOPhase{}
+	for _, p := range rep.SLOPhases {
+		phases[p.Phase] = p
+	}
+	for _, name := range []string{"pre-add", "post-add", "post-drain"} {
+		vs = append(vs,
+			atLeast("slo_ops["+name+"]", phases[name].Ops, 1),
+			equal("slo_bad["+name+"]", phases[name].Bad, 0))
+	}
+	vs = append(vs, above("slo_burn[drain]", phases["drain"].Burn, 0))
+
+	var plane obs.PlaneSnapshot
+	if rep.Plane != nil {
+		plane = *rep.Plane
+	}
+	// The added node's verb-share series starts at zero and ends at half
+	// its fair share of the final ring; the drained node's ends at zero.
+	addFirst, addLast := shareSpan(plane, rep.AddedNode)
+	_, drainLast := shareSpan(plane, rep.DrainedNode)
+	return append(vs,
+		atLeast("plane_ticks", plane.Ticks, 1),
+		equal("plane_nodes", len(plane.Nodes), rep.MNsStart+1),
+		equal("added_first_share_window", addFirst, 0),
+		atLeast("added_last_share_window", addLast, 0.5/float64(max(rep.MNsStart, 1))),
+		equal("drained_last_share_window", drainLast, 0))
+}
+
+// shareSpan returns the peak verb share of a node's first and last
+// sampled plane windows, or -1, -1 — failing every share verdict — when
+// the plane sampled none for it.
+func shareSpan(plane obs.PlaneSnapshot, node int) (first, last float64) {
+	first, last = -1, -1
+	for _, n := range plane.Nodes {
+		for _, w := range n.ShareWindows {
+			if n.Node == node && w.Count > 0 {
+				if first < 0 {
+					first = w.Max
+				}
+				last = w.Max
+			}
+		}
+	}
+	return first, last
 }
 
 // Cutovers extracts the transition's cutover count (1 per retired epoch).
@@ -472,13 +545,11 @@ func (l *ledger) window(name string) (MNWindow, error) {
 	}
 	after := cl.F.NICStats()
 	w := nicWindow(name, before, after, cl.memberNodes())
-	w.ClientRTs = stats.clientRTs
 	var mnRTs uint64
 	for _, ld := range w.Loads {
 		mnRTs += ld.RoundTrips
 	}
-	ok := mnRTs == stats.clientRTs
-	w.RTsReconciled = &ok
+	w.Verdicts = []Verdict{equal("rts_reconciled", mnRTs, stats.clientRTs)}
 	return w, nil
 }
 

@@ -15,8 +15,7 @@ import (
 // FailoverReport is the MN-loss chaos experiment's result: did killing a
 // memory node mid-run lose any acknowledged write, how much did the tail
 // degrade, and did online repair restore full replication while the
-// cluster kept serving. The CI chaos gate reads LostAckedWrites and
-// UnderReplicatedFinal.
+// cluster kept serving. Verdicts holds the answers (see gates).
 type FailoverReport struct {
 	System      string `json:"system"`
 	MNs         int    `json:"mns"`
@@ -59,6 +58,8 @@ type FailoverReport struct {
 	RepairCopied         uint64 `json:"repair_copied"`
 	UnderReplicatedFinal uint64 `json:"under_replicated_final"`
 	ReadsDuringRepair    uint64 `json:"reads_during_repair"`
+
+	Verdicts []Verdict `json:"verdicts"`
 }
 
 // ackedWrite is one worker's record of an acknowledged write: the value
@@ -263,7 +264,27 @@ func Failover(cfg Config, out io.Writer) (*FailoverReport, error) {
 		rep.Failovers, rep.DegradedPuts, rep.PartialReplicas, rep.HealthRejects)
 	fmt.Fprintf(out, "repair: %d sweeps, %d replicas copied, under-replicated %d, %d reads served during repair\n",
 		rep.RepairSweeps, rep.RepairCopied, rep.UnderReplicatedFinal, rep.ReadsDuringRepair)
+	rep.Verdicts = rep.gates()
 	return rep, nil
+}
+
+// gates evaluates the experiment's acceptance verdicts from the report
+// alone: every acknowledged write verified, none lost or stale; the kill
+// landed mid-run (ops on both sides of it) and reads failed over; repair
+// copied replicas back to zero deficits while reads kept being served.
+func (rep *FailoverReport) gates() []Verdict {
+	return []Verdict{
+		atLeast("acked_writes", rep.AckedWrites, 1),
+		equal("verified_reads", rep.VerifiedReads, rep.AckedWrites),
+		equal("lost_acked_writes", rep.LostAckedWrites, 0),
+		equal("wrong_value_reads", rep.WrongValueReads, 0),
+		atLeast("pre_kill_ops", rep.PreKillOps, 1),
+		atLeast("post_kill_ops", rep.PostKillOps, 1),
+		atLeast("failovers", rep.Failovers, 1),
+		equal("under_replicated_final", rep.UnderReplicatedFinal, 0),
+		atLeast("repair_copied", rep.RepairCopied, 1),
+		atLeast("reads_during_repair", rep.ReadsDuringRepair, 1),
+	}
 }
 
 // latPercentiles returns the p50 and p99 of a latency sample in

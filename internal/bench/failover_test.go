@@ -8,10 +8,8 @@ import (
 )
 
 // TestFailoverExperimentSmoke runs the MN-loss chaos experiment at reduced
-// scale and asserts its acceptance gates: no acknowledged write lost or
-// stale, repair converged to zero deficits, and the cluster served reads
-// while repairing. (CI runs the same experiment through sphinxbench with
-// -race and gates on the JSON report.)
+// scale and requires every one of its verdicts to hold (see
+// FailoverReport.gates). sphinxbench enforces the same list.
 func TestFailoverExperimentSmoke(t *testing.T) {
 	cfg := smallConfig(dataset.U64)
 	cfg.Keys = 6000
@@ -20,29 +18,12 @@ func TestFailoverExperimentSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.AckedWrites == 0 || rep.VerifiedReads != rep.AckedWrites {
-		t.Errorf("verification incomplete: %+v", rep)
+	if len(rep.Verdicts) == 0 {
+		t.Fatal("failover report carries no verdicts")
 	}
-	if rep.LostAckedWrites != 0 {
-		t.Errorf("lost %d acked writes", rep.LostAckedWrites)
-	}
-	if rep.WrongValueReads != 0 {
-		t.Errorf("%d stale reads of acked writes", rep.WrongValueReads)
-	}
-	if rep.UnderReplicatedFinal != 0 {
-		t.Errorf("repair did not converge: under-replicated %d after %d sweeps",
-			rep.UnderReplicatedFinal, rep.RepairSweeps)
-	}
-	if rep.RepairCopied == 0 {
-		t.Errorf("repair copied no replicas after a kill")
-	}
-	if rep.ReadsDuringRepair == 0 {
-		t.Errorf("no reads served during repair")
-	}
-	if rep.Failovers == 0 {
-		t.Errorf("no failovers recorded after the kill")
-	}
-	if rep.PostKillOps == 0 || rep.PreKillOps == 0 {
-		t.Errorf("latency split empty: pre=%d post=%d", rep.PreKillOps, rep.PostKillOps)
+	for _, v := range rep.Verdicts {
+		if !v.Pass {
+			t.Errorf("verdict %s failed: %g vs %g", v.Name, v.LHS, v.RHS)
+		}
 	}
 }

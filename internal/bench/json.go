@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 )
 
@@ -31,6 +32,9 @@ type JSONReport struct {
 	// Skew carries the hot-spot tolerance experiment's theta-sweep
 	// verdict (its Result rows are the per-theta warmup/steady pairs).
 	Skew *SkewReport `json:"skew,omitempty"`
+	// Verdicts are the gates of fig4, pipeline, scaling and fastpath; the
+	// chaos and skew reports carry their own.
+	Verdicts []Verdict `json:"verdicts,omitempty"`
 }
 
 // NewJSONReport captures the experiment's sweep-invariant settings.
@@ -44,6 +48,29 @@ func NewJSONReport(experiment string, cfg Config) JSONReport {
 		Seed:         cfg.Seed,
 		Theta:        cfg.Theta,
 	}
+}
+
+// AllVerdicts flattens the report's verdicts: each result's identities,
+// named after the result, then the experiment's gates.
+func (rep *JSONReport) AllVerdicts() []Verdict {
+	var all []Verdict
+	for _, r := range rep.Results {
+		for _, v := range r.Verdicts {
+			v.Name = fmt.Sprintf("%s %s %s d%d: %s", r.System, r.Workload, r.Dataset, r.Depth, v.Name)
+			all = append(all, v)
+		}
+	}
+	all = append(all, rep.Verdicts...)
+	if rep.Failover != nil {
+		all = append(all, rep.Failover.Verdicts...)
+	}
+	if rep.Elastic != nil {
+		all = append(all, rep.Elastic.Verdicts...)
+	}
+	if rep.Skew != nil {
+		all = append(all, rep.Skew.Verdicts...)
+	}
+	return all
 }
 
 // WriteJSON renders the report as indented JSON.

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"strings"
+
 	"sphinx/internal/core"
 	"sphinx/internal/fabric"
 	"sphinx/internal/obs"
@@ -19,12 +21,9 @@ type HistJSON struct {
 }
 
 // MetricsBlock is the per-result observability section emitted into
-// BENCH_*.json when Config.Metrics is set. Its headline value is the
-// reconciliation verdict: the per-stage round-trip histograms must sum to
-// the fabric's own RoundTrips counter at every pipeline depth, and the
-// per-op histograms must match it too at depth 1 (at depth > 1 round
-// trips are shared across in-flight ops, so no per-op attribution
-// exists).
+// BENCH_*.json when Config.Metrics is set. Its round-trip totals back the
+// result's rt_reconciled and op_rt_reconciled verdicts (see
+// attachMetrics).
 type MetricsBlock struct {
 	OpLatencyUs    map[string]HistJSON `json:"op_latency_us,omitempty"`
 	OpRoundTrips   map[string]HistJSON `json:"op_round_trips,omitempty"`
@@ -35,12 +34,10 @@ type MetricsBlock struct {
 	StageBytes      map[string]uint64 `json:"stage_bytes,omitempty"`
 	StageFaults     map[string]uint64 `json:"stage_faults,omitempty"`
 
-	// OpRTTotal and StageRTTotal are the two histogram-side sums;
-	// FabricRoundTrips is the ground truth from the clients' counters.
-	OpRTTotal        uint64 `json:"op_rt_total"`
-	StageRTTotal     uint64 `json:"stage_rt_total"`
-	FabricRoundTrips uint64 `json:"fabric_round_trips"`
-	RTReconciled     bool   `json:"rt_reconciled"`
+	// OpRTTotal and StageRTTotal are the two histogram-side sums; the
+	// ground truth is the clients' own counter, Result.RoundTrips.
+	OpRTTotal    uint64 `json:"op_rt_total"`
+	StageRTTotal uint64 `json:"stage_rt_total"`
 
 	// SFC, INHT, LAC and Hot are the index-semantic efficacy sections,
 	// present for Sphinx-family results (SFC absent for the filter-less
@@ -104,9 +101,9 @@ func histJSON(h obs.HistSnapshot, scale float64) HistJSON {
 	}
 }
 
-// attachMetrics folds the phase's metric set into the result and runs the
-// round-trip reconciliation check. r.Depth and r.RoundTrips must already
-// be set.
+// attachMetrics folds the phase's metric set into the result and declares
+// its round-trip identities. r.Depth and r.RoundTrips must already be
+// set.
 func (cl *Cluster) attachMetrics(r *Result) {
 	m := cl.runMetrics
 	if m == nil {
@@ -151,9 +148,16 @@ func (cl *Cluster) attachMetrics(r *Result) {
 	}
 	b.OpRTTotal = m.OpRTTotal()
 	b.StageRTTotal = m.StageRTTotal()
-	b.FabricRoundTrips = r.RoundTrips
-	b.RTReconciled = b.StageRTTotal == b.FabricRoundTrips &&
-		(r.Depth > 1 || b.OpRTTotal == b.FabricRoundTrips)
+	// The per-stage histograms sum to the fabric's own counter at every
+	// depth, the per-op ones at depth 1 (deeper pipelines share round
+	// trips across in-flight ops). Baselines may hold round trips outside
+	// per-op attribution, so only the Sphinx family declares these.
+	if strings.HasPrefix(cl.Sys.String(), "Sphinx") {
+		r.Verdicts = append(r.Verdicts, equal("rt_reconciled", b.StageRTTotal, r.RoundTrips))
+		if r.Depth <= 1 {
+			r.Verdicts = append(r.Verdicts, equal("op_rt_reconciled", b.OpRTTotal, r.RoundTrips))
+		}
+	}
 	if cl.tail != nil {
 		offered, captured := cl.tail.Stats()
 		b.TailOffered = offered - cl.tailBaseOff

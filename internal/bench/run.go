@@ -74,7 +74,7 @@ type Result struct {
 	DeleteRepairs   uint64 `json:"delete_repairs,omitempty"`
 
 	// RoundTrips is the phase's absolute fabric round-trip total (the
-	// denominator of the metrics reconciliation check). Present only when
+	// right-hand side of the round-trip verdicts). Present only when
 	// Config.Metrics is set.
 	RoundTrips uint64 `json:"round_trips,omitempty"`
 
@@ -89,9 +89,13 @@ type Result struct {
 	MNImbalance float64   `json:"mn_imbalance,omitempty"`
 
 	// Metrics is the phase's observability section: per-op and per-stage
-	// histograms plus the round-trip reconciliation verdict. Present only
+	// histograms and the index-semantic efficacy sections. Present only
 	// when Config.Metrics is set.
 	Metrics *MetricsBlock `json:"metrics,omitempty"`
+	// Verdicts are the phase's accounting identities (metrics runs only),
+	// declared next to the counters they compare in attachMetrics and
+	// attachIndexBlocks.
+	Verdicts []Verdict `json:"verdicts,omitempty"`
 }
 
 // Diag renders the Sphinx diagnostics line, or "" for other systems.

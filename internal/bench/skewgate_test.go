@@ -7,13 +7,13 @@ import "testing"
 // cannot pass — the speedup/imbalance gate was never evaluated, so a
 // green verdict would assert nothing beyond reconciliation.
 func TestSkewGateRequiresGatePoint(t *testing.T) {
-	yes := true
-	rep := &SkewReport{Gate: SkewSpeedupGate, Points: []SkewPoint{
-		{Theta: 0, Speedup: 1.0, HotReconciled: &yes},
-		{Theta: 1.2, Speedup: 3.0, BaseImbalance: 5, HotImbalance: 2, HotReconciled: &yes},
+	rep := &SkewReport{Points: []SkewPoint{
+		{Theta: 0, Speedup: 1.0},
+		{Theta: 1.2, Speedup: 3.0, BaseImbalance: 5, HotImbalance: 2},
 	}}
-	if gated := rep.evaluate(); gated || rep.Pass {
-		t.Errorf("sweep without theta~0.99: gated=%v pass=%v, want false/false", gated, rep.Pass)
+	rep.evaluate()
+	if got := failedNames(rep.Verdicts); len(got) != 1 || got[0] != "theta_0.99_points" {
+		t.Errorf("sweep without theta~0.99: failed verdicts %v, want [theta_0.99_points]", got)
 	}
 }
 
@@ -21,20 +21,21 @@ func TestSkewGateRequiresGatePoint(t *testing.T) {
 // clearing the speedup and imbalance thresholds passes, missing the
 // speedup threshold fails.
 func TestSkewGateEvaluates(t *testing.T) {
-	yes := true
-	pass := &SkewReport{Gate: SkewSpeedupGate, Points: []SkewPoint{
-		{Theta: 0.99, Speedup: 2.0, BaseImbalance: 5, HotImbalance: 2, HotReconciled: &yes},
+	pass := &SkewReport{Points: []SkewPoint{
+		{Theta: 0.99, Speedup: 2.0, BaseImbalance: 5, HotImbalance: 2},
 	}}
-	if gated := pass.evaluate(); !gated || !pass.Pass {
-		t.Errorf("passing sweep: gated=%v pass=%v, want true/true", gated, pass.Pass)
+	pass.evaluate()
+	if got := failedNames(pass.Verdicts); len(got) != 0 {
+		t.Errorf("passing sweep: failed verdicts %v", got)
 	}
-	if pass.SpeedupAt099 != 2.0 {
-		t.Errorf("SpeedupAt099 = %v, want 2.0", pass.SpeedupAt099)
+	if v := require("", pass.Verdicts, "speedup_at_0.99"); v.LHS != 2.0 || v.RHS != SkewSpeedupGate {
+		t.Errorf("speedup_at_0.99 = %+v, want 2.0 against the gate", v)
 	}
-	fail := &SkewReport{Gate: SkewSpeedupGate, Points: []SkewPoint{
-		{Theta: 0.99, Speedup: 1.1, BaseImbalance: 5, HotImbalance: 2, HotReconciled: &yes},
+	fail := &SkewReport{Points: []SkewPoint{
+		{Theta: 0.99, Speedup: 1.1, BaseImbalance: 5, HotImbalance: 2},
 	}}
-	if gated := fail.evaluate(); !gated || fail.Pass {
-		t.Errorf("slow sweep: gated=%v pass=%v, want true/false", gated, fail.Pass)
+	fail.evaluate()
+	if got := failedNames(fail.Verdicts); len(got) != 1 || got[0] != "speedup_at_0.99" {
+		t.Errorf("slow sweep: failed verdicts %v, want [speedup_at_0.99]", got)
 	}
 }

@@ -165,10 +165,9 @@ func (lv *Live) Registry() *obs.Registry {
 }
 
 // SFCBlock is the per-phase succinct-filter-cache efficacy section of a
-// result's metrics: where locates landed in the prefix walk, how the
+// result's metrics: where locates landed in the prefix walk, and how the
 // measured false-positive rate compares to the cuckoo filter's analytic
-// bound, and (for read-only sequential phases) whether every false
-// positive reconciles against an extra hash-read-stage round trip.
+// bound.
 type SFCBlock struct {
 	// HitDepth is the distribution of the longest-prefix-hit depth (key
 	// bytes matched) over filter-resolved locates; Probes is the local
@@ -189,14 +188,6 @@ type SFCBlock struct {
 
 	MeasuredFPRate  float64 `json:"measured_fp_rate"`
 	AnalyticFPBound float64 `json:"analytic_fp_bound"`
-
-	// FPReconciled is set for read-only depth-1 phases: true iff hash
-	// lookups == filter hits + false positives AND the hash-read stage's
-	// round trips == lookups + stale-directory retries + 2×refreshes —
-	// i.e. every false positive shows up as exactly one extra hash-entry
-	// round trip (DESIGN.md §5.9). Absent when the phase wrote, restarted
-	// or ran pipelined (coalescing shares round trips across ops).
-	FPReconciled *bool `json:"fp_reconciled,omitempty"`
 }
 
 // INHTBlock is the per-phase inner-node-hash-table section: structural
@@ -224,9 +215,7 @@ type INHTBlock struct {
 
 // LACBlock is the per-phase leaf-address-cache efficacy section of a
 // result's metrics: how warm-read speculation performed (one-RT hits vs
-// misses, refutes and aborts), the cache's maintenance churn, and (for
-// read-only sequential phases) whether the speculative round trips
-// reconcile exactly against the fabric's counters.
+// misses, refutes and aborts) and the cache's maintenance churn.
 type LACBlock struct {
 	// SpecHits..SpecAborts are this phase's speculative-read outcomes:
 	// hits served in one verified round trip, misses that went straight
@@ -251,22 +240,12 @@ type LACBlock struct {
 	OccupiedSlots uint64  `json:"occupied_slots"`
 	CapacitySlots uint64  `json:"capacity_slots"`
 	SizeBytes     uint64  `json:"size_bytes"`
-
-	// LACReconciled is set for read-only depth-1 phases: true iff the
-	// leaf-spec stage's round trips == speculative hits + refutes (every
-	// speculative read is exactly one RT, and a healthy read-only phase
-	// never aborts) AND hash + node + leaf + leaf-spec stage round trips
-	// == the fabric's own counter — i.e. every fallback re-descent is
-	// fully accounted and the fast path never double-pays. Absent when
-	// the phase wrote, restarted or ran pipelined.
-	LACReconciled *bool `json:"lac_reconciled,omitempty"`
 }
 
 // HotBlock is the per-phase hot read-replication section of a result's
 // metrics: how the hotness-driven replica read path performed (verified
-// 1-RT hits vs refutations of retired record images), the promotion and
-// write-refresh churn, and (for read-only depth-1 phases) whether the
-// hot-read round trips reconcile exactly against the fabric's counters.
+// 1-RT hits vs refutations of retired record images) and the promotion
+// and write-refresh churn.
 type HotBlock struct {
 	// HotHits..HotAborts are this phase's replica-read outcomes: hits
 	// served in one verified round trip, refutations that unlearned a
@@ -285,13 +264,6 @@ type HotBlock struct {
 	HitRate float64 `json:"hit_rate"`
 	// TrackerBytes is the CN hot-key trackers' total footprint.
 	TrackerBytes uint64 `json:"tracker_bytes,omitempty"`
-
-	// HotReconciled is set for read-only depth-1 phases: true iff the
-	// hot-read stage's round trips == replica-read hits + refutations
-	// (every attempt is exactly one verified RT — never a wrong value,
-	// never a double-pay) with zero aborts. The full-sum check lives in
-	// LACReconciled, whose stage sum includes the hot stages.
-	HotReconciled *bool `json:"hot_reconciled,omitempty"`
 }
 
 // nicBase snapshots the per-MN NIC counters at phase start (the window
@@ -533,9 +505,21 @@ func (cl *Cluster) aggSphinx(idxs []Index, pls []*core.Pipeline) (core.Stats, ra
 	return coreAgg, hashAgg, found
 }
 
-// attachIndexBlocks fills the result's SFC and INHT sections from the
-// phase deltas, and folds the phase's worker counters into the cluster's
-// lifetime totals for the live registry.
+// readOnlyPhase is the precondition of the SFC, LAC and hot-replica
+// identities: the phase ran sequential reads on a healthy index with
+// metrics on. Writes and restarts add hash-stage traffic of their own,
+// stale entries cost extra reads, and pipelining coalesces many lookups
+// into shared round trips.
+func (cl *Cluster) readOnlyPhase(depth int, st core.Stats) bool {
+	return cl.runMetrics != nil && depth == 1 &&
+		st.Inserts == 0 && st.Updates == 0 && st.Deletes == 0 &&
+		st.Scans == 0 && st.Restarts == 0 && st.StaleEntries == 0
+}
+
+// attachIndexBlocks fills the result's SFC, INHT, LAC and hot sections
+// from the phase deltas, declares their identities for read-only phases,
+// and folds the phase's worker counters into the cluster's lifetime
+// totals for the live registry.
 func (cl *Cluster) attachIndexBlocks(r *Result, coreAgg core.Stats, hashAgg racehash.Stats, isSphinx bool) {
 	if !isSphinx {
 		return
@@ -547,6 +531,8 @@ func (cl *Cluster) attachIndexBlocks(r *Result, coreAgg core.Stats, hashAgg race
 	if r.Metrics == nil || cl.index == nil {
 		return
 	}
+	readOnly := cl.readOnlyPhase(r.Depth, coreAgg)
+	stageRT := func(s fabric.Stage) uint64 { return cl.runMetrics.StageRT(s).Sum }
 
 	inht := &INHTBlock{
 		Candidates:      histJSON(cl.index.INHTCandidates.Snapshot().Sub(cl.candBase), 1),
@@ -588,25 +574,21 @@ func (cl *Cluster) attachIndexBlocks(r *Result, coreAgg core.Stats, hashAgg race
 		if capacity > 0 {
 			lac.Occupancy = float64(occupied) / float64(capacity)
 		}
-		// The speculative-RT reconciliation holds only for sequential
-		// read-only phases on a healthy index, like FPReconciled: every
-		// speculative read then costs exactly one leaf-spec round trip
-		// (hit or refute, never an abort), and the read stages — plus
-		// the hot-replica read and maintenance stages when the hot layer
-		// is on — sum to the fabric's own counter.
-		if cl.runMetrics != nil && r.Depth == 1 &&
-			coreAgg.Inserts == 0 && coreAgg.Updates == 0 && coreAgg.Deletes == 0 &&
-			coreAgg.Scans == 0 && coreAgg.Restarts == 0 && coreAgg.StaleEntries == 0 {
-			specRT := cl.runMetrics.StageRT(fabric.StageLeafSpec).Sum
-			hashRT := cl.runMetrics.StageRT(fabric.StageHashRead).Sum
-			nodeRT := cl.runMetrics.StageRT(fabric.StageNodeRead).Sum
-			leafRT := cl.runMetrics.StageRT(fabric.StageLeafRead).Sum
-			hotRT := cl.runMetrics.StageRT(fabric.StageHotRead).Sum +
-				cl.runMetrics.StageRT(fabric.StageHotPub).Sum
-			ok := specRT == coreAgg.SpecHits+coreAgg.SpecRefutes &&
-				coreAgg.SpecAborts == 0 &&
-				hashRT+nodeRT+leafRT+specRT+hotRT == r.Metrics.FabricRoundTrips
-			lac.LACReconciled = &ok
+		// In a read-only phase every speculative read costs exactly one
+		// leaf-spec round trip (hit or refute, never an abort), and the
+		// read stages — plus the hot-replica read and maintenance stages
+		// when the hot layer is on — sum to the fabric's own counter: every
+		// fallback re-descent is accounted and the fast path never
+		// double-pays.
+		if readOnly {
+			specRT := stageRT(fabric.StageLeafSpec)
+			readRT := stageRT(fabric.StageHashRead) + stageRT(fabric.StageNodeRead) +
+				stageRT(fabric.StageLeafRead) + specRT +
+				stageRT(fabric.StageHotRead) + stageRT(fabric.StageHotPub)
+			r.Verdicts = append(r.Verdicts,
+				equal("lac_reconciled", specRT, coreAgg.SpecHits+coreAgg.SpecRefutes),
+				equal("lac_aborts", coreAgg.SpecAborts, 0),
+				equal("read_stages_reconciled", readRT, r.RoundTrips))
 		}
 		r.Metrics.LAC = lac
 	}
@@ -628,16 +610,14 @@ func (cl *Cluster) attachIndexBlocks(r *Result, coreAgg core.Stats, hashAgg race
 		for _, hs := range cl.hotsets {
 			hot.TrackerBytes += hs.SizeBytes()
 		}
-		// Trust-but-verify accounting, same preconditions as the LAC
-		// verdict: in a sequential read-only phase every hot-read stage
-		// round trip must be exactly one verified hit or one refutation.
-		if cl.runMetrics != nil && r.Depth == 1 &&
-			coreAgg.Inserts == 0 && coreAgg.Updates == 0 && coreAgg.Deletes == 0 &&
-			coreAgg.Scans == 0 && coreAgg.Restarts == 0 && coreAgg.StaleEntries == 0 {
-			hotReadRT := cl.runMetrics.StageRT(fabric.StageHotRead).Sum
-			ok := hotReadRT == coreAgg.HotHits+coreAgg.HotRefutes &&
-				coreAgg.HotAborts == 0
-			hot.HotReconciled = &ok
+		// Trust-but-verify accounting: in a read-only phase every hot-read
+		// stage round trip is exactly one verified hit or one refutation
+		// (never a wrong value, never a double-pay), with no aborts. The
+		// full stage sum is read_stages_reconciled above.
+		if readOnly {
+			r.Verdicts = append(r.Verdicts,
+				equal("hot_reconciled", stageRT(fabric.StageHotRead), coreAgg.HotHits+coreAgg.HotRefutes),
+				equal("hot_aborts", coreAgg.HotAborts, 0))
 		}
 		r.Metrics.Hot = hot
 	}
@@ -665,18 +645,16 @@ func (cl *Cluster) attachIndexBlocks(r *Result, coreAgg core.Stats, hashAgg race
 	if probes > 0 {
 		sfc.MeasuredFPRate = float64(coreAgg.FalsePositives) / float64(probes)
 	}
-	// The FP↔round-trip reconciliation is meaningful only when the phase
-	// was purely sequential reads on a healthy index: writes and restarts
-	// add hash-stage traffic of their own, and pipelining coalesces many
-	// lookups into shared round trips.
-	if cl.runMetrics != nil && r.Depth == 1 &&
-		coreAgg.Inserts == 0 && coreAgg.Updates == 0 && coreAgg.Deletes == 0 &&
-		coreAgg.Scans == 0 && coreAgg.Restarts == 0 && coreAgg.StaleEntries == 0 {
-		hashRT := cl.runMetrics.StageRT(fabric.StageHashRead).Sum
-		wantRT := hashAgg.Lookups + hashAgg.RetryReads + 2*hashAgg.Refreshes
-		ok := hashAgg.Lookups == coreAgg.FilterHits+coreAgg.FalsePositives &&
-			hashRT == wantRT
-		sfc.FPReconciled = &ok
+	// In a read-only phase every filter hit, true or false, costs one hash
+	// lookup, and the hash-read stage pays exactly one round trip per
+	// lookup plus stale-directory retries and refreshes: each false
+	// positive shows up as one extra hash-entry round trip (DESIGN.md
+	// §5.9).
+	if readOnly {
+		r.Verdicts = append(r.Verdicts,
+			equal("fp_reconciled", hashAgg.Lookups, coreAgg.FilterHits+coreAgg.FalsePositives),
+			equal("hash_rt_reconciled", stageRT(fabric.StageHashRead),
+				hashAgg.Lookups+hashAgg.RetryReads+2*hashAgg.Refreshes))
 	}
 	r.Metrics.SFC = sfc
 }

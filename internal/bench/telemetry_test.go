@@ -42,12 +42,14 @@ func TestIndexBlocksAttached(t *testing.T) {
 	if sfc.FilterHits == 0 {
 		t.Error("warm YCSB-C run resolved no locates via the filter")
 	}
-	if sfc.FPReconciled == nil {
+	if evaluated([]Result{r}, "fp_reconciled") != 1 {
 		t.Fatal("read-only depth-1 phase did not get an fp_reconciled verdict")
 	}
-	if !*sfc.FPReconciled {
-		t.Errorf("false positives do not reconcile with hash-read round trips: %+v / lookups=%d retries=%d refreshes=%d",
-			sfc, inht.Lookups, inht.RetryReads, inht.Refreshes)
+	for _, v := range r.Verdicts {
+		if !v.Pass {
+			t.Errorf("verdict %s failed: %g vs %g (lookups=%d retries=%d refreshes=%d)",
+				v.Name, v.LHS, v.RHS, inht.Lookups, inht.RetryReads, inht.Refreshes)
+		}
 	}
 	if inht.LoadFactor <= 0 || inht.Entries == 0 || inht.CapacityEntries == 0 {
 		t.Errorf("INHT usage scan empty: %+v", inht)
@@ -64,7 +66,7 @@ func TestIndexBlocksAttached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ra.Metrics.SFC != nil && ra.Metrics.SFC.FPReconciled != nil {
+	if evaluated([]Result{ra}, "fp_reconciled") != 0 {
 		t.Error("fp_reconciled set for a write-heavy phase")
 	}
 
