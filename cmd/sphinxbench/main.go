@@ -48,7 +48,6 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve live observability HTTP on this address while experiments run (host:0 for an ephemeral port): /metrics, /snapshot, /traces, /debug/pprof")
 	serveLinger := flag.Duration("serve-linger", 0, "with -serve, keep serving this long after the experiments finish (lets scrapers read final totals)")
 	scaleWorkers := flag.String("scale-workers", "", "comma-separated worker counts for the scaling experiment (default 1,2,4,8,16)")
-	warm := flag.Bool("warm", false, "split every workload run into a warmup and a steady-state pass, reporting both (fastpath implies it)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [flags] fig4|fig5|fig6|ablation|scaling|treedepth|valsweep|pipeline|fastpath|failover|elastic|skew|all\n", os.Args[0])
 		flag.PrintDefaults()
@@ -77,7 +76,6 @@ func main() {
 		Theta:        *theta,
 		Depth:        *depth,
 		Metrics:      *metrics,
-		Warm:         *warm,
 	}
 	var live *bench.Live
 	if *serveAddr != "" {
@@ -157,19 +155,23 @@ func main() {
 				part.Results, part.Verdicts, err = bench.Fastpath(cfg, os.Stdout)
 				printDiags(part.Results, *stats)
 			case "failover":
-				part.Failover, err = bench.Failover(cfg, os.Stdout)
+				var fo *bench.FailoverReport
+				fo, err = bench.Failover(cfg, os.Stdout)
+				part.Failover = []*bench.FailoverReport{fo}
 			case "elastic":
-				part.Results, part.Elastic, err = bench.Elastic(cfg, os.Stdout)
+				var el *bench.ElasticReport
+				part.Results, el, err = bench.Elastic(cfg, os.Stdout)
+				part.Elastic = []*bench.ElasticReport{el}
 			case "skew":
-				part.Results, part.Skew, err = bench.Skew(cfg, nil, os.Stdout)
+				var sk *bench.SkewReport
+				part.Results, sk, err = bench.Skew(cfg, nil, os.Stdout)
+				part.Skew = []*bench.SkewReport{sk}
 			default:
 				return fmt.Errorf("unknown experiment %q", name)
 			}
 			if err != nil {
 				return err
 			}
-			// Verdicts are checked per dataset: the chaos and skew
-			// sub-reports of an earlier dataset are replaced below.
 			c, f := failedVerdicts(name+"/"+cfg.Dataset.String(), &part, os.Stderr)
 			checked, failed = checked+c, failed+f
 			collected = append(collected, part.Results...)
@@ -179,10 +181,7 @@ func main() {
 				rep = &r
 				reports[name] = rep
 			}
-			rep.Results = append(rep.Results, part.Results...)
-			rep.MemUsages = append(rep.MemUsages, part.MemUsages...)
-			rep.Verdicts = append(rep.Verdicts, part.Verdicts...)
-			rep.Failover, rep.Elastic, rep.Skew = part.Failover, part.Elastic, part.Skew
+			rep.Merge(part)
 			fmt.Println()
 		}
 		return nil

@@ -123,12 +123,6 @@ type Config struct {
 	// SphinxNoLAC ignores it.
 	LeafCacheBytes uint64
 
-	// Warm splits each measurement into a warmup pass and a steady-state
-	// pass over the same workload: the experiment reports both phases
-	// (Result.Phase "warmup" / "steady") so CN-cache learning — filter and
-	// leaf-address cache alike — is visible instead of averaged away.
-	Warm bool
-
 	// SFCMode selects the Succinct Filter Cache's concurrency control for
 	// the Sphinx-family systems: the default lock-free filter, or the
 	// mutex-serialized baseline the scaling experiment ablates against.

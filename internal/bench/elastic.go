@@ -98,6 +98,7 @@ type ElasticChaos struct {
 // rebalance. Verdicts holds the answers (see gates).
 type ElasticReport struct {
 	System      string `json:"system"`
+	Dataset     string `json:"dataset"`
 	MNsStart    int    `json:"mns_start"`
 	Replication int    `json:"replication"`
 	Workers     int    `json:"workers"`
@@ -212,6 +213,7 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 	}
 	rep := &ElasticReport{
 		System:      Sphinx.String(),
+		Dataset:     cfg.Dataset.String(),
 		MNsStart:    cfg.MNs,
 		Replication: cfg.Replication,
 		Workers:     cfg.Workers,

@@ -407,11 +407,9 @@ var FastpathDepths = []int{4, 8}
 // cache learning addresses) and a steady-state pass (the converged fast
 // path), for Sphinx against the Sphinx-noLAC ablation. Its gates are
 // fastpathGates on the steady depth-1 pair. Metrics are forced on (the
-// lac_reconciled identity needs them); the warm split is the experiment's
-// whole point, so Config.Warm is implied.
+// lac_reconciled identity needs them).
 func Fastpath(base Config, out io.Writer) ([]Result, []Verdict, error) {
 	cfg := base
-	cfg.Warm = true
 	cfg.Metrics = true
 	cfg.Depth = 1
 	d := cfg.withDefaults()
@@ -525,6 +523,7 @@ type SkewPoint struct {
 // replicated speedup at least SkewSpeedupGate with the imbalance
 // flattened.
 type SkewReport struct {
+	Dataset  string      `json:"dataset"`
 	Points   []SkewPoint `json:"points"`
 	Verdicts []Verdict   `json:"verdicts"`
 }
@@ -570,13 +569,12 @@ func Skew(base Config, thetas []float64, out io.Writer) ([]Result, *SkewReport, 
 	}
 	cfg.Depth = 1
 	cfg.Metrics = true
-	cfg.Warm = true
 	cfg.Net = skewNet(base.Net)
 	d := cfg.withDefaults()
 	fmt.Fprintf(out, "# Skew — hot-spot tolerance: YCSB-C theta sweep, replicated vs unreplicated, dataset=%v keys=%d mns=%d workers=%d value=%dB\n",
 		d.Dataset, d.Keys, d.MNs, d.Workers, d.ValueSize)
 	fmt.Fprintln(out, ResultHeader())
-	rep := &SkewReport{}
+	rep := &SkewReport{Dataset: d.Dataset.String()}
 	var results []Result
 	for _, theta := range thetas {
 		tcfg := cfg

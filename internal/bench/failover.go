@@ -18,6 +18,7 @@ import (
 // cluster kept serving. Verdicts holds the answers (see gates).
 type FailoverReport struct {
 	System      string `json:"system"`
+	Dataset     string `json:"dataset"`
 	MNs         int    `json:"mns"`
 	Replication int    `json:"replication"`
 	Workers     int    `json:"workers"`
@@ -96,6 +97,7 @@ func Failover(cfg Config, out io.Writer) (*FailoverReport, error) {
 
 	rep := &FailoverReport{
 		System:      Sphinx.String(),
+		Dataset:     cfg.Dataset.String(),
 		MNs:         cfg.MNs,
 		Replication: cfg.Replication,
 		Workers:     cfg.Workers,

@@ -23,15 +23,17 @@ type JSONReport struct {
 	// produce no Result rows).
 	MemUsages []MemUsage `json:"mem_usages,omitempty"`
 	// Failover carries the MN-loss chaos experiment's durability and
-	// repair verdict (its run produces no Result rows).
-	Failover *FailoverReport `json:"failover,omitempty"`
+	// repair verdict, one per dataset run (its runs produce no Result
+	// rows).
+	Failover []*FailoverReport `json:"failover,omitempty"`
 	// Elastic carries the membership chaos experiment's durability,
-	// convergence and per-MN rebalancing verdict (its Result rows are the
-	// MN-count sweep).
-	Elastic *ElasticReport `json:"elastic,omitempty"`
+	// convergence and per-MN rebalancing verdict, one per dataset run (its
+	// Result rows are the MN-count sweep).
+	Elastic []*ElasticReport `json:"elastic,omitempty"`
 	// Skew carries the hot-spot tolerance experiment's theta-sweep
-	// verdict (its Result rows are the per-theta warmup/steady pairs).
-	Skew *SkewReport `json:"skew,omitempty"`
+	// verdict, one per dataset run (its Result rows are the per-theta
+	// warmup/steady pairs).
+	Skew []*SkewReport `json:"skew,omitempty"`
 	// Verdicts are the gates of fig4, pipeline, scaling and fastpath; the
 	// chaos and skew reports carry their own.
 	Verdicts []Verdict `json:"verdicts,omitempty"`
@@ -61,16 +63,26 @@ func (rep *JSONReport) AllVerdicts() []Verdict {
 		}
 	}
 	all = append(all, rep.Verdicts...)
-	if rep.Failover != nil {
-		all = append(all, rep.Failover.Verdicts...)
+	for _, f := range rep.Failover {
+		all = append(all, f.Verdicts...)
 	}
-	if rep.Elastic != nil {
-		all = append(all, rep.Elastic.Verdicts...)
+	for _, e := range rep.Elastic {
+		all = append(all, e.Verdicts...)
 	}
-	if rep.Skew != nil {
-		all = append(all, rep.Skew.Verdicts...)
+	for _, s := range rep.Skew {
+		all = append(all, s.Verdicts...)
 	}
 	return all
+}
+
+// Merge appends one dataset's share of the experiment to the report.
+func (rep *JSONReport) Merge(part JSONReport) {
+	rep.Results = append(rep.Results, part.Results...)
+	rep.MemUsages = append(rep.MemUsages, part.MemUsages...)
+	rep.Verdicts = append(rep.Verdicts, part.Verdicts...)
+	rep.Failover = append(rep.Failover, part.Failover...)
+	rep.Elastic = append(rep.Elastic, part.Elastic...)
+	rep.Skew = append(rep.Skew, part.Skew...)
 }
 
 // WriteJSON renders the report as indented JSON.

@@ -25,7 +25,7 @@ type Result struct {
 	// Depth is the per-worker issue depth the run phase used (1 =
 	// sequential clients).
 	Depth int `json:"depth"`
-	// Phase labels the measurement pass when Config.Warm splits a run into
+	// Phase labels the measurement pass when RunPhases splits a run into
 	// a warmup pass and a steady-state pass over the same workload
 	// ("warmup" / "steady"); empty for single-pass runs.
 	Phase string `json:"phase,omitempty"`
@@ -173,8 +173,7 @@ func (cl *Cluster) Load(workers int) (Result, error) {
 				lat = append(lat, fc.Clock()-start)
 				cl.observeOp(obs.OpPut, fc.Clock()-start, fc.RoundTrips()-rt0)
 				if rec != nil {
-					rec.End(fc.Clock())
-					cl.tail.Offer(obs.OpPut, rec.Trace())
+					cl.tail.Offer(obs.OpPut, rec.End(fc.Clock()))
 				}
 			}
 			lats[w] = lat
@@ -292,8 +291,7 @@ func (cl *Cluster) Run(w ycsb.Workload, workers, opsPerWorker int) (Result, erro
 				lat = append(lat, fc.Clock()-start)
 				cl.observeOp(kind, fc.Clock()-start, fc.RoundTrips()-rt0)
 				if rec != nil {
-					rec.End(fc.Clock())
-					cl.tail.Offer(kind, rec.Trace())
+					cl.tail.Offer(kind, rec.End(fc.Clock()))
 				}
 			}
 			lats[wk] = lat
@@ -337,24 +335,6 @@ func (cl *Cluster) RunPhases(w ycsb.Workload, workers, opsPerWorker int) (warmup
 	}
 	steady.Phase = "steady"
 	return warmup, steady, nil
-}
-
-// RunMaybePhased runs the workload honouring Config.Warm: split into
-// warmup+steady passes when set (two results), a single unlabelled pass
-// otherwise (one result).
-func (cl *Cluster) RunMaybePhased(w ycsb.Workload, workers, opsPerWorker int) ([]Result, error) {
-	if cl.Cfg.Warm {
-		warmup, steady, err := cl.RunPhases(w, workers, opsPerWorker)
-		if err != nil {
-			return nil, err
-		}
-		return []Result{warmup, steady}, nil
-	}
-	r, err := cl.Run(w, workers, opsPerWorker)
-	if err != nil {
-		return nil, err
-	}
-	return []Result{r}, nil
 }
 
 // attachWall fills the wall-clock throughput fields from a measured

@@ -191,7 +191,7 @@ func TestAllVerdictsNamesTheirResult(t *testing.T) {
 		Results: []Result{{System: "Sphinx", Workload: "C/steady", Dataset: "u64", Depth: 1,
 			Verdicts: []Verdict{{Name: "lac_reconciled"}}}},
 		Verdicts: []Verdict{{Name: "steady_depth1_pair"}},
-		Skew:     &SkewReport{Verdicts: []Verdict{{Name: "theta_0.99_points"}}},
+		Skew:     []*SkewReport{{Verdicts: []Verdict{{Name: "theta_0.99_points"}}}},
 	}
 	want := []string{"Sphinx C/steady u64 d1: lac_reconciled", "steady_depth1_pair", "theta_0.99_points"}
 	if got := failedNames(rep.AllVerdicts()); !slices.Equal(got, want) {

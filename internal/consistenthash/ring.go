@@ -155,43 +155,45 @@ func (r *Ring) OwnerKey(key []byte) mem.NodeID {
 	return r.Owner(wire.Hash64Seed(key, 5))
 }
 
-// Owners returns the hash's successor list: the first n distinct memory
-// nodes clockwise from the hash, in ring order. Owners(h, n)[0] is always
-// Owner(h); replicated placement writes to the whole list. n is clamped
-// to the node count, so Owners(h, len(Nodes())) enumerates every node in
-// failover-preference order.
-func (r *Ring) Owners(hash uint64, n int) []mem.NodeID {
+// AppendOwners appends the hash's successor list to dst: the first n
+// distinct memory nodes clockwise from the hash, in ring order. Its first
+// element is always Owner(h); replicated placement writes to the whole
+// list. n is clamped to the node count, so n = len(Nodes()) enumerates
+// every node in failover-preference order. Distinctness is among the
+// appended nodes only, so a caller with a scratch buffer pays no
+// allocation.
+func (r *Ring) AppendOwners(dst []mem.NodeID, hash uint64, n int) []mem.NodeID {
 	if n > len(r.nodes) {
 		n = len(r.nodes)
 	}
 	if n <= 0 {
-		return nil
+		return dst
 	}
-	owners := make([]mem.NodeID, 0, n)
+	start := len(dst)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= hash })
 	if i == len(r.points) {
 		i = 0
 	}
-	for j := 0; j < len(r.points) && len(owners) < n; j++ {
+	for j := 0; j < len(r.points) && len(dst)-start < n; j++ {
 		cand := r.points[(i+j)%len(r.points)].node
 		dup := false
-		for _, o := range owners {
+		for _, o := range dst[start:] {
 			if o == cand {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			owners = append(owners, cand)
+			dst = append(dst, cand)
 		}
 	}
-	return owners
+	return dst
 }
 
-// OwnersKey returns the key's successor list: the first n distinct memory
-// nodes clockwise from the key's placement hash.
-func (r *Ring) OwnersKey(key []byte, n int) []mem.NodeID {
-	return r.Owners(wire.Hash64Seed(key, 5), n)
+// AppendOwnersKey appends the key's successor list to dst: the first n
+// distinct memory nodes clockwise from the key's placement hash.
+func (r *Ring) AppendOwnersKey(dst []mem.NodeID, key []byte, n int) []mem.NodeID {
+	return r.AppendOwners(dst, wire.Hash64Seed(key, 5), n)
 }
 
 // String summarizes the ring for diagnostics.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"sphinx/internal/mem"
@@ -239,20 +240,24 @@ func TestOwnersDistinctAndOrdered(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i))
 		for n := 1; n <= len(nodes); n++ {
-			owners := r.OwnersKey(key, n)
+			owners := r.AppendOwnersKey(nil, key, n)
 			if len(owners) != n {
-				t.Fatalf("OwnersKey(%q, %d) returned %d owners", key, n, len(owners))
+				t.Fatalf("AppendOwnersKey(%q, %d) returned %d owners", key, n, len(owners))
 			}
 			if owners[0] != r.OwnerKey(key) {
-				t.Fatalf("OwnersKey(%q)[0] = %d, Owner = %d", key, owners[0], r.OwnerKey(key))
+				t.Fatalf("AppendOwnersKey(%q)[0] = %d, Owner = %d", key, owners[0], r.OwnerKey(key))
 			}
 			seen := make(map[mem.NodeID]bool, n)
 			for _, o := range owners {
 				if seen[o] {
-					t.Fatalf("OwnersKey(%q, %d) placed two replicas on node %d: %v",
+					t.Fatalf("AppendOwnersKey(%q, %d) placed two replicas on node %d: %v",
 						key, n, o, owners)
 				}
 				seen[o] = true
+			}
+			// Appending after existing entries yields the same list.
+			if got := r.AppendOwnersKey([]mem.NodeID{owners[0]}, key, n); !slices.Equal(got[1:], owners) {
+				t.Fatalf("AppendOwnersKey after %d = %v, want it followed by %v", owners[0], got, owners)
 			}
 		}
 	}
@@ -260,11 +265,11 @@ func TestOwnersDistinctAndOrdered(t *testing.T) {
 
 func TestOwnersClampAndEmpty(t *testing.T) {
 	r := New([]mem.NodeID{0, 1}, 8)
-	if got := r.Owners(42, 5); len(got) != 2 {
-		t.Errorf("Owners clamped to node count: got %v", got)
+	if got := r.AppendOwners(nil, 42, 5); len(got) != 2 {
+		t.Errorf("AppendOwners clamped to node count: got %v", got)
 	}
-	if got := r.Owners(42, 0); got != nil {
-		t.Errorf("Owners(h, 0) = %v, want nil", got)
+	if got := r.AppendOwners(nil, 42, 0); got != nil {
+		t.Errorf("AppendOwners(nil, h, 0) = %v, want nil", got)
 	}
 }
 

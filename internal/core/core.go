@@ -408,6 +408,9 @@ type Client struct {
 	opScratch   []fabric.Op
 	bufScratch  [][]byte
 	nodeScratch []*rart.Node
+	// prefixScratch holds the filter hashes of the key's prefixes during
+	// one locate.
+	prefixScratch []uint64
 }
 
 // NewClient mounts a Sphinx index over one fabric client.

@@ -254,7 +254,7 @@ func (c *Client) hotPromote(key []byte) {
 		// after it outranks v1, so our swap below can never bury a fresher
 		// value.
 		v1 := c.nextVersion()
-		val, ok, err := c.searchTree(key)
+		val, ok, err := c.searchTree(key, c.lacHash(key))
 		if err != nil {
 			c.hotset.Unclaim(key)
 			return
@@ -359,12 +359,13 @@ func (c *Client) hotDemote(key []byte) {
 // maintenance the observation triggered. Skipped in degraded mode (the
 // hot layer is entirely off there — degraded writes land anchor-only and
 // would leave records stale) and for values too large to route (see
-// hotRoutable) — valLen is the length of the value the read served.
-func (c *Client) hotTouch(key []byte, valLen int, sfcHot bool) {
+// hotRoutable) — valLen is the length of the value the read served, and
+// hotHash the key's sketch hash.
+func (c *Client) hotTouch(key []byte, hotHash uint64, valLen int, sfcHot bool) {
 	if c.hotset == nil || !hotRoutable(key, valLen) {
 		return
 	}
-	switch c.hotset.Observe(key, sfcHot) {
+	switch c.hotset.observeHash(hotHash, sfcHot) {
 	case HotPromoteNow:
 		if c.degraded() {
 			c.hotset.Unclaim(key)
@@ -419,13 +420,19 @@ func (c *Client) hotReadRecord(addr mem.Addr, units uint8, key []byte) ([]byte, 
 // from the rank caches, pick a starting replica by power-of-two-choices
 // on the cached per-MN contention snapshot, and read-verify records until
 // one serves or all refute. Aborts (transient faults) stop the attempt
-// with routes kept. Only a verified hit is served.
-func (c *Client) hotGet(key []byte) ([]byte, bool) {
+// with routes kept. Only a verified hit is served. kh carries the key's
+// rank-cache hashes; before any hot record was published (!kh.routed)
+// the route caches are empty and nothing is claimed without a publish,
+// so the attempt ends before any lookup.
+func (c *Client) hotGet(key []byte, kh *keyHashes) ([]byte, bool) {
 	hs := c.hotset
 	if hs == nil {
 		return nil, false
 	}
 	hs.FlushRoutes(c.members.Current().Epoch)
+	if !kh.routed {
+		return nil, false
+	}
 	type route struct {
 		rank  int
 		addr  mem.Addr
@@ -434,7 +441,7 @@ func (c *Client) hotGet(key []byte) ([]byte, bool) {
 	var routes [8]route
 	n := 0
 	for i := 0; i < hs.Ranks() && n < len(routes); i++ {
-		if a, u, ok := hs.Rank(i).Lookup(key); ok {
+		if a, u, ok := hs.Rank(i).lookupHash(kh.rank(hs, i, key)); ok {
 			routes[n] = route{i, a, u}
 			n++
 		}
@@ -471,12 +478,12 @@ func (c *Client) hotGet(key []byte) ([]byte, bool) {
 			return val, true
 		case hotReadRefute:
 			atomic.AddUint64(&c.stats.HotRefutes, 1)
-			hs.Rank(r.rank).Unlearn(key)
+			hs.Rank(r.rank).unlearnHash(kh.rank(hs, r.rank, key))
 		case hotReadAbort:
 			atomic.AddUint64(&c.stats.HotAborts, 1)
 			return nil, false
 		case hotReadSkip:
-			hs.Rank(r.rank).Unlearn(key)
+			hs.Rank(r.rank).unlearnHash(kh.rank(hs, r.rank, key))
 		}
 	}
 	return nil, false

@@ -435,7 +435,7 @@ func TestHotPublishGateOpensBeforePlaceholders(t *testing.T) {
 		t.Fatal("Published() false with placeholders discoverable; a racing write would skip the replica refresh")
 	}
 	v1 := c.nextVersion()
-	stale, ok, err := c.searchTree(key)
+	stale, ok, err := c.searchTree(key, c.lacHash(key))
 	if err != nil || !ok {
 		t.Fatalf("authoritative read = %v, %v", ok, err)
 	}

@@ -37,10 +37,10 @@ const (
 // essentially never does — so the hot layer stays inert unless the
 // workload is actually skewed.
 const (
-	hotPromoteAt   = 32
-	hotDemoteAt    = 8
-	hotDecayFloor  = 4096
-	hotSFCBoost    = 2 // observation weight when the SFC hotness bit agrees
+	hotPromoteAt  = 32
+	hotDemoteAt   = 8
+	hotDecayFloor = 4096
+	hotSFCBoost   = 2 // observation weight when the SFC hotness bit agrees
 	// DefaultHotSetBytes is the per-CN tracker budget: half frequency
 	// sketch, half split across the per-replica-rank route caches.
 	DefaultHotSetBytes = 256 << 10
@@ -167,8 +167,15 @@ func (hs *HotSet) SizeBytes() uint64 {
 	return total
 }
 
+// hashSeed is the Hash64Seed seed of the sketch's key hash.
+func (hs *HotSet) hashSeed() uint64 { return hotSeed ^ hs.seed }
+
 func (hs *HotSet) slotTag(key []byte) (slot uint64, tag uint64) {
-	h := wire.Hash64Seed(key, hotSeed^hs.seed)
+	return hs.slotTagHash(wire.Hash64Seed(key, hs.hashSeed()))
+}
+
+// slotTagHash derives the sketch slot and owner tag from the key's hash.
+func (hs *HotSet) slotTagHash(h uint64) (slot uint64, tag uint64) {
 	slot = h & hs.mask
 	tag = (h >> 48) & 0xffff
 	if tag == 0 {
@@ -197,7 +204,12 @@ func epochDelta(cur, old uint64) uint64 {
 // weights the observation by the SFC hotness bit — a prefix the filter
 // already marked recently-used is corroborating evidence of skew.
 func (hs *HotSet) Observe(key []byte, sfcHot bool) HotAction {
-	slot, tag := hs.slotTag(key)
+	return hs.observeHash(wire.Hash64Seed(key, hs.hashSeed()), sfcHot)
+}
+
+// observeHash is Observe given the key's hash.
+func (hs *HotSet) observeHash(h uint64, sfcHot bool) HotAction {
+	slot, tag := hs.slotTagHash(h)
 	inc := uint64(1)
 	if sfcHot {
 		inc = hotSFCBoost

@@ -104,20 +104,28 @@ func NewLeafCacheBytes(budget uint64, seed uint64) *LeafCache {
 	return NewLeafCache(size, seed)
 }
 
-// slotFP derives the slot index and fingerprint of a key from one hash:
+// hashSeed is the Hash64Seed seed of this cache's key hash.
+func (lc *LeafCache) hashSeed() uint64 { return lacSeed ^ lc.seed }
+
+// hash returns the key hash every slot decision derives from.
+func (lc *LeafCache) hash(key []byte) uint64 { return wire.Hash64Seed(key, lc.hashSeed()) }
+
+// slotFP derives the slot index and fingerprint of a key from its hash:
 // low bits index, bits above the table's width tag.
-func (lc *LeafCache) slotFP(key []byte) (slot uint64, fp uint64) {
-	h := wire.Hash64Seed(key, lacSeed^lc.seed)
-	slot = h & lc.mask
-	fp = (h >> 48) & lacFPMask
-	return slot, fp
+func (lc *LeafCache) slotFP(h uint64) (slot uint64, fp uint64) {
+	return h & lc.mask, (h >> 48) & lacFPMask
 }
 
 // Lookup returns the cached leaf address and exact unit count for a key.
 // A false return means the cache has no opinion; a true return is a hint
 // that MUST be verified against the leaf image it resolves to.
 func (lc *LeafCache) Lookup(key []byte) (addr mem.Addr, units uint8, ok bool) {
-	slot, fp := lc.slotFP(key)
+	return lc.lookupHash(lc.hash(key))
+}
+
+// lookupHash is Lookup given the key's hash.
+func (lc *LeafCache) lookupHash(h uint64) (addr mem.Addr, units uint8, ok bool) {
+	slot, fp := lc.slotFP(h)
 	w := atomic.LoadUint64(&lc.words[slot])
 	if w&lacPresentBit == 0 || (w>>lacFPShift)&lacFPMask != fp {
 		return 0, 0, false
@@ -129,7 +137,12 @@ func (lc *LeafCache) Lookup(key []byte) (addr mem.Addr, units uint8, ok bool) {
 // size. Direct-mapped: a colliding entry for another key is displaced
 // (counted as an eviction).
 func (lc *LeafCache) Learn(key []byte, addr mem.Addr, units uint8) {
-	slot, fp := lc.slotFP(key)
+	lc.learnHash(lc.hash(key), addr, units)
+}
+
+// learnHash is Learn given the key's hash.
+func (lc *LeafCache) learnHash(h uint64, addr mem.Addr, units uint8) {
+	slot, fp := lc.slotFP(h)
 	next := packLACWord(addr, units, fp)
 	prev := atomic.SwapUint64(&lc.words[slot], next)
 	atomic.AddUint64(&lc.stats.Learns, 1)
@@ -141,8 +154,11 @@ func (lc *LeafCache) Learn(key []byte, addr mem.Addr, units uint8) {
 // Unlearn removes the entry for key after a refuted speculative read. The
 // removal is a CAS on the exact observed word, so a concurrent Learn that
 // already replaced the slot (fresher information) is never clobbered.
-func (lc *LeafCache) Unlearn(key []byte) {
-	slot, fp := lc.slotFP(key)
+func (lc *LeafCache) Unlearn(key []byte) { lc.unlearnHash(lc.hash(key)) }
+
+// unlearnHash is Unlearn given the key's hash.
+func (lc *LeafCache) unlearnHash(h uint64) {
+	slot, fp := lc.slotFP(h)
 	w := atomic.LoadUint64(&lc.words[slot])
 	if w&lacPresentBit == 0 || (w>>lacFPShift)&lacFPMask != fp {
 		return

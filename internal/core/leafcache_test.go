@@ -69,11 +69,11 @@ func TestLACLearnLookupUnlearn(t *testing.T) {
 
 	// Find a key that collides with alpha's slot but carries a different
 	// fingerprint; learning it must displace alpha and count an eviction.
-	slotA, fpA := lc.slotFP(key)
+	slotA, fpA := lc.slotFP(lc.hash(key))
 	var other []byte
 	for i := 0; ; i++ {
 		cand := []byte(fmt.Sprintf("other-%d", i))
-		if s, f := lc.slotFP(cand); s == slotA && f != fpA {
+		if s, f := lc.slotFP(lc.hash(cand)); s == slotA && f != fpA {
 			other = cand
 			break
 		}

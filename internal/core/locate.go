@@ -26,10 +26,13 @@ func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 	if c.opts.DisableFilter {
 		return c.locateParallel(key, maxLen)
 	}
+	// ph[l-1] is PrefixFilterHash(key[:l]), all from one pass over the key.
+	ph := wire.AppendPrefixHashes(c.prefixScratch[:0], key[:maxLen], sfcSeed)
+	c.prefixScratch = ph
 	var probes uint64
 	for l := maxLen; l >= 1; l-- {
 		prefix := key[:l]
-		h := PrefixFilterHash(prefix)
+		h := ph[l-1]
 		probes++
 		present, wasHot := c.filter.ContainsWasHot(h)
 		if !present {
@@ -40,8 +43,8 @@ func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 		// already marked recently-used corroborates skew.
 		c.sfcWasHot = wasHot
 		if c.rec != nil {
-			c.rec.Note(fabric.StageFilterProbe, c.eng.C.Clock(),
-				fmt.Sprintf("sfc probe hit: prefix %d/%d, fetching", l, len(key)))
+			c.rec.Notef(fabric.StageFilterProbe, c.eng.C.Clock(),
+				"sfc probe hit: prefix %d/%d, fetching", l, len(key))
 		}
 		n, err := c.fetchValidated(prefix)
 		if err != nil {
@@ -60,8 +63,8 @@ func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 		atomic.AddUint64(&c.stats.FalsePositives, 1)
 		c.filter.Delete(h)
 		if c.rec != nil {
-			c.rec.Note(fabric.StageFilterProbe, c.eng.C.Clock(),
-				fmt.Sprintf("sfc false positive at prefix %d: unlearned", l))
+			c.rec.Notef(fabric.StageFilterProbe, c.eng.C.Clock(),
+				"sfc false positive at prefix %d: unlearned", l)
 		}
 	}
 	atomic.AddUint64(&c.stats.RootStarts, 1)

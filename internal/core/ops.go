@@ -101,10 +101,10 @@ func viewHolds(v *racehash.View, h42 uint64, fp uint16, e wire.HashEntry) (bool,
 }
 
 // noteRestart annotates an operation-level restart on the armed trace
-// recorder; the fmt.Sprintf only runs while tracing.
+// recorder; the text is formatted only if the trace is kept.
 func (c *Client) noteRestart(err error) {
 	if c.rec != nil {
-		c.rec.Note(fabric.StageNone, c.eng.C.Clock(), fmt.Sprintf("restart: %v", err))
+		c.rec.Notef(fabric.StageNone, c.eng.C.Clock(), "restart: %v", err)
 	}
 }
 
@@ -123,6 +123,49 @@ func retriable(err error) bool {
 		errors.Is(err, fabric.ErrTransient) ||
 		errors.Is(err, fabric.ErrTimeout) ||
 		errors.Is(err, fabric.ErrNodeDown)
+}
+
+// keyHashes are one key's hashes for the CN-side caches keyed by the
+// full key: the leaf-address cache, the hot-set sketch and, once hot
+// records may exist (routed), the hot route caches of the first
+// len(ranks) replica ranks.
+type keyHashes struct {
+	lac, hot uint64
+	routed   bool
+	ranks    [6]uint64
+}
+
+// rank returns replica rank i's route-cache hash of key.
+func (kh *keyHashes) rank(hs *HotSet, i int, key []byte) uint64 {
+	if i < len(kh.ranks) {
+		return kh.ranks[i]
+	}
+	return hs.Rank(i).hash(key)
+}
+
+// hashKey computes the key's cache hashes in one pass over the key. A
+// nil cache's lane hashes with seed 0 and is never read.
+func (c *Client) hashKey(key []byte) (kh keyHashes) {
+	var seeds, out [2 + len(kh.ranks)]uint64
+	n := 2
+	if c.lac != nil {
+		seeds[0] = c.lac.hashSeed()
+	}
+	if hs := c.hotset; hs != nil {
+		seeds[1] = hs.hashSeed()
+		// Routes are learned only from published records, so before the
+		// first publish every rank cache is provably empty.
+		if kh.routed = c.shared.Hot.Published(); kh.routed {
+			for i := 0; i < hs.Ranks() && i < len(kh.ranks); i++ {
+				seeds[n] = hs.Rank(i).hashSeed()
+				n++
+			}
+		}
+	}
+	wire.Hash64Seeds(key, seeds[:n], out[:n])
+	kh.lac, kh.hot = out[0], out[1]
+	copy(kh.ranks[:], out[2:n])
+	return kh
 }
 
 // Search returns the value stored for key (paper §IV Search). Warm path:
@@ -146,8 +189,9 @@ func (c *Client) Search(key []byte) ([]byte, bool, error) {
 	// contention-chosen replica record in one verified round trip (see
 	// hotreplica.go). A refute or abort falls through with a fresh budget,
 	// like the speculative path below.
-	if val, served := c.hotGet(key); served {
-		c.hotTouch(key, len(val), false)
+	kh := c.hashKey(key)
+	if val, served := c.hotGet(key, &kh); served {
+		c.hotTouch(key, kh.hot, len(val), false)
 		return val, true, nil
 	}
 	// Speculative fast path: if the leaf-address cache has an opinion, one
@@ -156,16 +200,16 @@ func (c *Client) Search(key []byte) ([]byte, bool, error) {
 	// a FRESH backoff — the fallback is a routing decision, not contention,
 	// so it consumes no retry budget and injects no sleep (same contract as
 	// the ErrNeedParent re-route in put).
-	if val, served := c.specGet(key); served {
-		c.hotTouch(key, len(val), false)
+	if val, served := c.specGet(key, kh.lac); served {
+		c.hotTouch(key, kh.hot, len(val), false)
 		return val, true, nil
 	}
 	// The authoritative walk below probes the filter inside locate, which
 	// records the SFC hotness observation into sfcWasHot for hotTouch.
 	c.sfcWasHot = false
-	val, ok, err := c.searchTree(key)
+	val, ok, err := c.searchTree(key, kh.lac)
 	if err == nil && ok {
-		c.hotTouch(key, len(val), c.sfcWasHot)
+		c.hotTouch(key, kh.hot, len(val), c.sfcWasHot)
 	}
 	return val, ok, err
 }
@@ -173,8 +217,9 @@ func (c *Client) Search(key []byte) ([]byte, bool, error) {
 // searchTree is the authoritative read: locate (filter-guided jump) plus
 // the tree walk, with collision narrowing, failover and retry. Factored
 // out of Search so hot promotion can fetch an authoritative value without
-// recursing through the fast paths or the operation counters.
-func (c *Client) searchTree(key []byte) ([]byte, bool, error) {
+// recursing through the fast paths or the operation counters. lacHash is
+// the key's leaf-address-cache hash, for learning the leaf found.
+func (c *Client) searchTree(key []byte, lacHash uint64) ([]byte, bool, error) {
 	maxLen := len(key)
 	var last error
 	for bo := c.eng.Backoff(); ; {
@@ -199,7 +244,7 @@ func (c *Client) searchTree(key []byte) ([]byte, bool, error) {
 					}
 					return c.searchAbsent(key)
 				}
-				c.learn(key, leaf)
+				c.learn(lacHash, leaf)
 				return leaf.Value, true, nil
 			}
 		}
@@ -245,11 +290,11 @@ func (c *Client) searchTree(key []byte) ([]byte, bool, error) {
 // Never called in degraded mode: degraded writes land anchor-only, so a
 // cached tree address could serve a stale value with a clean checksum.
 // Search's degraded() check precedes this call.
-func (c *Client) specGet(key []byte) ([]byte, bool) {
+func (c *Client) specGet(key []byte, lacHash uint64) ([]byte, bool) {
 	if c.lac == nil {
 		return nil, false
 	}
-	addr, units, ok := c.lac.Lookup(key)
+	addr, units, ok := c.lac.lookupHash(lacHash)
 	if !ok {
 		atomic.AddUint64(&c.stats.SpecMisses, 1)
 		return nil, false
@@ -258,7 +303,7 @@ func (c *Client) specGet(key []byte) ([]byte, bool) {
 	if err != nil {
 		if errors.Is(err, fabric.ErrNodeKilled) || errors.Is(err, fabric.ErrBreakerOpen) {
 			// The cached address points into permanently lost memory.
-			c.lac.Unlearn(key)
+			c.lac.unlearnHash(lacHash)
 			atomic.AddUint64(&c.stats.SpecRefutes, 1)
 			c.noteSpec(key, "lac refuted: node lost, unlearned")
 		} else {
@@ -275,7 +320,7 @@ func (c *Client) specGet(key []byte) ([]byte, bool) {
 		return nil, false
 	}
 	if leaf.Status != wire.StatusIdle || !bytes.Equal(leaf.Key, key) {
-		c.lac.Unlearn(key)
+		c.lac.unlearnHash(lacHash)
 		atomic.AddUint64(&c.stats.SpecRefutes, 1)
 		c.noteSpec(key, "lac refuted: verification failed, unlearned")
 		return nil, false
@@ -285,17 +330,25 @@ func (c *Client) specGet(key []byte) ([]byte, bool) {
 	return leaf.Value, true
 }
 
+// lacHash returns the key's leaf-address-cache hash (0 without a cache).
+func (c *Client) lacHash(key []byte) uint64 {
+	if c.lac == nil {
+		return 0
+	}
+	return c.lac.hash(key)
+}
+
 // learn records a verified (key → leaf) binding in the leaf-address cache
-// after a successful authoritative traversal.
-func (c *Client) learn(key []byte, leaf *rart.Leaf) {
+// after a successful authoritative traversal, given the key's cache hash.
+func (c *Client) learn(lacHash uint64, leaf *rart.Leaf) {
 	if c.lac == nil || leaf.Units == 0 {
 		return
 	}
-	c.lac.Learn(key, leaf.Addr, leaf.Units)
+	c.lac.learnHash(lacHash, leaf.Addr, leaf.Units)
 }
 
 // noteSpec annotates a speculative fast-path decision on the armed trace
-// recorder; the fmt.Sprintf only runs while tracing.
+// recorder.
 func (c *Client) noteSpec(key []byte, msg string) {
 	if c.rec != nil {
 		c.rec.Note(fabric.StageLeafSpec, c.eng.C.Clock(), msg)
@@ -319,8 +372,8 @@ func (c *Client) noteCollision(key []byte, startLen int) {
 		c.filter.Delete(PrefixFilterHash(key[:startLen]))
 	}
 	if c.rec != nil {
-		c.rec.Note(fabric.StageFilterProbe, c.eng.C.Clock(),
-			fmt.Sprintf("prefix collision at %d: unlearned, narrowing to %d", startLen, startLen-1))
+		c.rec.Notef(fabric.StageFilterProbe, c.eng.C.Clock(),
+			"prefix collision at %d: unlearned, narrowing to %d", startLen, startLen-1)
 	}
 }
 
@@ -363,8 +416,8 @@ func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
 				// consuming retry budget or injecting backoff sleep.
 				atomic.AddUint64(&c.stats.ParentRetries, 1)
 				if c.rec != nil {
-					c.rec.Note(fabric.StagePublish, c.eng.C.Clock(),
-						fmt.Sprintf("need parent: re-routing via prefix %d, no backoff", startLen-1))
+					c.rec.Notef(fabric.StagePublish, c.eng.C.Clock(),
+						"need parent: re-routing via prefix %d, no backoff", startLen-1)
 				}
 				maxLen = startLen - 1
 				continue

@@ -89,7 +89,8 @@ type RecordSet struct {
 // pass).
 func (rs *RecordSet) targets(dst []mem.NodeID, ring *consistenthash.Ring, key []byte) []mem.NodeID {
 	start := len(dst)
-	for _, o := range ring.OwnersKey(key, len(ring.Nodes())) {
+	var buf [16]mem.NodeID
+	for _, o := range ring.AppendOwnersKey(buf[:0], key, len(ring.Nodes())) {
 		if rs.Health != nil && !rs.Health.Alive(o) {
 			continue
 		}

@@ -75,7 +75,8 @@ func (ft *FaultTolerance) RepairTotals() (sweeps, copied uint64) {
 // hold every acknowledged key, and where new tree allocations and hash
 // entries go so they avoid dead nodes.
 func (ft *FaultTolerance) place(ring *consistenthash.Ring, key []byte) mem.NodeID {
-	owners := ring.OwnersKey(key, len(ring.Nodes()))
+	var buf [16]mem.NodeID
+	owners := ring.AppendOwnersKey(buf[:0], key, len(ring.Nodes()))
 	for _, o := range owners {
 		if ft.Health.Alive(o) {
 			return o

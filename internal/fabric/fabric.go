@@ -110,6 +110,17 @@ type Op struct {
 // fine enough that queueing delays resolve well below a round trip.
 const nicSlotPs = 1_000_000
 
+// nicPageShift sizes the timeline's pages: 4096 slots (4.096 ms of
+// virtual time) of int32 consumed capacity, 16 KiB per page.
+const (
+	nicPageShift = 12
+	nicPageSlots = 1 << nicPageShift
+)
+
+// nicPage holds the capacity already consumed (ps, at most nicSlotPs) in
+// each slot of one page of the timeline.
+type nicPage [nicPageSlots]int32
+
 // nic is one memory node's NIC processing timeline, modelled as capacity
 // per virtual-time slot. Unlike a single free-pointer queue, this lets a
 // request whose issue time (virtual clock) lies in the past consume the
@@ -118,9 +129,18 @@ const nicSlotPs = 1_000_000
 // virtual-time order. Saturation still emerges: when aggregate demand
 // around an instant exceeds slot capacity, requests spill into later
 // slots and completion times stretch.
+//
+// The timeline is stored in dense pages, allocated when first touched
+// and kept until ResetTimelines: 4 MB per NIC per virtual second of
+// touched time. Slot s lives at pages[s>>nicPageShift][s&(nicPageSlots-1)]
+// (floor division, so any int64 slot has one place); last caches the
+// most recently used page, which nearly every reservation hits because
+// client clocks run close together.
 type nic struct {
-	mu    sync.Mutex
-	slots map[int64]int64 // slot index → capacity already consumed (ps)
+	mu      sync.Mutex
+	pages   map[int64]*nicPage
+	lastIdx int64
+	last    *nicPage
 	// cumulative demand counters, for utilization reports
 	busyPs int64
 	waitPs int64 // queueing delay: reservations pushed past their ready time
@@ -148,33 +168,51 @@ func (n *nic) chargeRT() {
 	n.mu.Unlock()
 }
 
+// page returns the timeline page with index p, allocating it on first
+// touch. Caller holds n.mu.
+func (n *nic) page(p int64) *nicPage {
+	if n.last != nil && n.lastIdx == p {
+		return n.last
+	}
+	pg := n.pages[p]
+	if pg == nil {
+		if n.pages == nil {
+			n.pages = make(map[int64]*nicPage)
+		}
+		pg = new(nicPage)
+		n.pages[p] = pg
+	}
+	n.last, n.lastIdx = pg, p
+	return pg
+}
+
 // reserve books cost picoseconds of NIC time no earlier than notBefore and
 // returns the start time of the reservation.
 func (n *nic) reserve(notBefore, cost int64, verbs int, bytes uint64) int64 {
 	n.mu.Lock()
-	if n.slots == nil {
-		n.slots = make(map[int64]int64)
-	}
 	slot := notBefore / nicSlotPs
 	start := int64(-1)
 	rem := cost
 	for rem > 0 {
-		avail := nicSlotPs - n.slots[slot]
-		if avail > 0 {
-			if start < 0 {
-				start = slot * nicSlotPs
-				if notBefore > start {
-					start = notBefore
+		pg := n.page(slot >> nicPageShift)
+		for i := slot & (nicPageSlots - 1); rem > 0 && i < nicPageSlots; i++ {
+			avail := nicSlotPs - int64(pg[i])
+			if avail > 0 {
+				if start < 0 {
+					start = slot * nicSlotPs
+					if notBefore > start {
+						start = notBefore
+					}
 				}
+				take := avail
+				if rem < take {
+					take = rem
+				}
+				pg[i] += int32(take)
+				rem -= take
 			}
-			take := avail
-			if rem < take {
-				take = rem
-			}
-			n.slots[slot] += take
-			rem -= take
+			slot++
 		}
-		slot++
 	}
 	if start < 0 {
 		start = notBefore
@@ -200,9 +238,11 @@ type node struct {
 // memory nodes. Construct it once, attach memory nodes, then create one
 // Client per worker.
 type Fabric struct {
-	cfg    Config
-	mu     sync.Mutex
-	nodes  []*node
+	cfg Config
+	mu  sync.Mutex
+	// nodes is the attached memory nodes, an immutable snapshot replaced
+	// (under mu) by AddNode, so the per-verb lookups take no lock.
+	nodes  atomic.Pointer[[]*node]
 	plan   *FaultPlan
 	nextID int
 
@@ -264,50 +304,52 @@ func (f *Fabric) FaultPlan() *FaultPlan {
 func (f *Fabric) AddNode(size uint64) mem.NodeID {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.nodes) >= mem.MaxNodes {
+	old := f.snapshot()
+	if len(old) >= mem.MaxNodes {
 		panic("fabric: too many memory nodes")
 	}
-	id := mem.NodeID(len(f.nodes))
+	id := mem.NodeID(len(old))
 	r := mem.NewRegion(id, size)
 	mem.InitRegionHeader(r)
-	f.nodes = append(f.nodes, &node{region: r})
+	nodes := append(old[:len(old):len(old)], &node{region: r})
+	f.nodes.Store(&nodes)
 	return id
 }
 
-// NumNodes returns the number of attached memory nodes.
-func (f *Fabric) NumNodes() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.nodes)
+// snapshot returns the attached nodes. The slice is never modified.
+func (f *Fabric) snapshot() []*node {
+	if p := f.nodes.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
+
+// NumNodes returns the number of attached memory nodes.
+func (f *Fabric) NumNodes() int { return len(f.snapshot()) }
 
 // Region exposes a node's region for bootstrap-time direct access
 // (mem.DirectOps) and white-box tests. Index code must not use it.
 func (f *Fabric) Region(id mem.NodeID) *mem.Region {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.nodes[id].region
+	return f.snapshot()[id].region
 }
 
 // Regions returns a DirectOps view over all attached regions for
 // bootstrap-time allocation.
 func (f *Fabric) Regions() mem.DirectOps {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	m := make(map[mem.NodeID]*mem.Region, len(f.nodes))
-	for i, n := range f.nodes {
+	nodes := f.snapshot()
+	m := make(map[mem.NodeID]*mem.Region, len(nodes))
+	for i, n := range nodes {
 		m[mem.NodeID(i)] = n.region
 	}
 	return mem.DirectOps{Regions: m}
 }
 
 func (f *Fabric) node(id mem.NodeID) (*node, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if int(id) >= len(f.nodes) {
+	nodes := f.snapshot()
+	if int(id) >= len(nodes) {
 		return nil, fmt.Errorf("fabric: unknown memory node %d", id)
 	}
-	return f.nodes[id], nil
+	return nodes[id], nil
 }
 
 // peek reads the word at addr directly, outside any client's verbs: no
@@ -325,12 +367,11 @@ func (f *Fabric) peek(addr mem.Addr) (uint64, bool) {
 // speculative over-reads (e.g., of variable-size leaves) at the region
 // boundary, as a real RDMA client would clamp at its registered MR length.
 func (f *Fabric) RegionSize(id mem.NodeID) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if int(id) >= len(f.nodes) {
+	nodes := f.snapshot()
+	if int(id) >= len(nodes) {
 		return 0
 	}
-	return f.nodes[id].region.Size()
+	return nodes[id].region.Size()
 }
 
 // ResetTimelines zeroes every NIC's queue timeline so a new measurement
@@ -338,11 +379,9 @@ func (f *Fabric) RegionSize(id mem.NodeID) uint64 {
 // its load and run phases. Cumulative NIC counters are preserved. Callers
 // must ensure no client is mid-operation.
 func (f *Fabric) ResetTimelines() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, n := range f.nodes {
+	for _, n := range f.snapshot() {
 		n.nic.mu.Lock()
-		n.nic.slots = nil
+		n.nic.pages, n.nic.last = nil, nil
 		n.nic.mu.Unlock()
 	}
 }
@@ -368,10 +407,9 @@ type NICStats struct {
 
 // NICStats returns the NIC counters of every node.
 func (f *Fabric) NICStats() []NICStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]NICStats, len(f.nodes))
-	for i, n := range f.nodes {
+	nodes := f.snapshot()
+	out := make([]NICStats, len(nodes))
+	for i, n := range nodes {
 		n.nic.mu.Lock()
 		out[i] = NICStats{Node: mem.NodeID(i), BusyPs: n.nic.busyPs, WaitPs: n.nic.waitPs, Verbs: n.nic.verbs, Bytes: n.nic.bytes, RoundTrips: n.nic.rts, Faults: n.nic.faults}
 		n.nic.mu.Unlock()

@@ -19,23 +19,65 @@ type TailSample struct {
 	Kind        OpKind
 	LatencyPs   uint64
 	ThresholdPs uint64 // the moving-quantile bar the op cleared
-	Cause       string
+	Cause       string // Explain(Trace), derived when the sample is read
 	Seq         uint64 // monotone capture number
+}
+
+// tailSubBits sets the sampler's resolution: each power-of-two latency
+// octave is split into 1<<tailSubBits equal sub-buckets, so a bucket is
+// at most 1/32 of its octave's lower edge wide (3%, e.g. 0.26 µs around
+// 8.8 µs).
+const (
+	tailSubBits = 5
+	tailSubs    = 1 << tailSubBits
+)
+
+// tailSub returns v's sub-bucket within its octave i = bits.Len64(v).
+// Octaves narrower than tailSubs values keep every value exact.
+func tailSub(v uint64, i int) int {
+	if i <= tailSubBits {
+		if i == 0 {
+			return 0
+		}
+		return int(v - 1<<(i-1))
+	}
+	return int(v>>(i-1-tailSubBits)) & (tailSubs - 1)
+}
+
+// tailSubLower returns the smallest value of sub-bucket sub of octave i.
+func tailSubLower(i, sub int) uint64 {
+	switch {
+	case i == 0:
+		return 0
+	case i <= tailSubBits:
+		return 1<<(i-1) + uint64(sub)
+	}
+	return uint64(tailSubs+sub) << (i - 1 - tailSubBits)
 }
 
 // TailSampler is an always-on reservoir of slow-operation traces: every
 // finished op's latency feeds a per-op-kind moving distribution, and ops
 // at or above the configured quantile (p99 by default) have their trace
-// deep-copied into a bounded ring. It is mutex-guarded so sequential
-// workers across goroutines can share one sampler; the recorders feeding
-// it remain per-worker.
+// deep-copied into a bounded ring. The distribution is log-linear (each
+// power-of-two octave in 32 sub-buckets), so the bar sits within 3% of
+// the true quantile. Ops above the quantile's sub-bucket are kept; of the
+// ops inside it, only the share that ranks at or above the quantile is
+// kept (spread evenly by error diffusion), so the sampler keeps about a
+// (1 − quantile) share of ops even when many ops share one latency, as
+// virtual-time ops on an idle network do. It is mutex-guarded so
+// sequential workers across goroutines can share one sampler; the
+// recorders feeding it remain per-worker.
 type TailSampler struct {
 	mu       sync.Mutex
 	quantile float64
 	warmup   uint64
-	minPop   uint64 // observations needed before the quantile is meaningful
-	buckets  [NumOps][NumBuckets]uint64 // power-of-two latency counts
+	minPop   uint64                               // observations needed before the quantile is meaningful
+	octaves  [NumOps][NumBuckets]uint64           // power-of-two latency counts
+	subs     [NumOps][NumBuckets][tailSubs]uint64 // each octave's sub-bucket counts
 	counts   [NumOps]uint64
+	// credit is each kind's error-diffusion state for ops that tie with
+	// the quantile's sub-bucket.
+	credit   [NumOps]uint64
 	samples  []TailSample // ring of the most recent captures
 	next     int
 	seq      uint64
@@ -66,25 +108,28 @@ func NewTailSampler(quantile float64, capacity int) *TailSampler {
 	}
 }
 
-// thresholdLocked returns the lower edge of the bucket holding the
-// quantile-th observation for kind: an op is "tail" when it lands in the
-// same power-of-two bucket as the quantile or above it.
-func (ts *TailSampler) thresholdLocked(kind OpKind) uint64 {
+// quantileLocked locates the sub-bucket holding the quantile-th
+// observation for kind: its octave and sub-bucket, and how many of its
+// observations rank at or above the quantile (at least one). Callers
+// ensure kind has observations.
+func (ts *TailSampler) quantileLocked(kind OpKind) (oct, sub int, above uint64) {
 	target := uint64(math.Ceil(ts.quantile * float64(ts.counts[kind])))
 	if target == 0 {
 		target = 1
 	}
 	var cum uint64
-	for i, b := range ts.buckets[kind] {
-		cum += b
-		if cum >= target {
-			if i == 0 {
-				return 0
+	for i, b := range ts.octaves[kind] {
+		if cum+b < target {
+			cum += b
+			continue
+		}
+		for j, c := range ts.subs[kind][i] {
+			if cum += c; cum >= target {
+				return i, j, cum - target + 1
 			}
-			return BucketUpper(i-1) + 1
 		}
 	}
-	return math.MaxUint64
+	panic("obs: tail quantile beyond the recorded population")
 }
 
 // Offer feeds one finished operation. It always updates the latency
@@ -99,22 +144,33 @@ func (ts *TailSampler) Offer(kind OpKind, tr *Trace) bool {
 	if d := tr.EndPs - tr.StartPs; d > 0 {
 		lat = uint64(d)
 	}
+	oct := bits.Len64(lat)
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	ts.offered++
-	ts.buckets[kind][bits.Len64(lat)]++
+	ts.octaves[kind][oct]++
+	ts.subs[kind][oct][tailSub(lat, oct)]++
 	ts.counts[kind]++
-	if ts.counts[kind] <= ts.warmup || ts.counts[kind] < ts.minPop {
+	if ts.counts[kind] <= ts.warmup || ts.counts[kind] < ts.minPop || lat == 0 {
 		return false
 	}
-	thr := ts.thresholdLocked(kind)
-	if lat < thr || lat == 0 {
+	qOct, qSub, above := ts.quantileLocked(kind)
+	thr := tailSubLower(qOct, qSub)
+	if lat < thr {
 		return false
+	}
+	if oct == qOct && tailSub(lat, oct) == qSub {
+		// A tie with the quantile's sub-bucket: keep above of every n.
+		n := ts.subs[kind][qOct][qSub]
+		if ts.credit[kind] += above; ts.credit[kind] < n {
+			return false
+		}
+		ts.credit[kind] -= n
 	}
 	ts.seq++
 	sample := TailSample{
 		Trace: tr.Clone(), Kind: kind, LatencyPs: lat,
-		ThresholdPs: thr, Cause: Explain(tr), Seq: ts.seq,
+		ThresholdPs: thr, Seq: ts.seq,
 	}
 	if len(ts.samples) < cap(ts.samples) {
 		ts.samples = append(ts.samples, sample)
@@ -126,7 +182,8 @@ func (ts *TailSampler) Offer(kind OpKind, tr *Trace) bool {
 	return true
 }
 
-// Samples returns the retained captures, newest first.
+// Samples returns the retained captures, newest first, each with its
+// Cause (derived on the first read of a sample, then kept).
 func (ts *TailSampler) Samples() []TailSample {
 	if ts == nil {
 		return nil
@@ -144,7 +201,11 @@ func (ts *TailSampler) Samples() []TailSample {
 		start = (ts.next - 1 + n) % n
 	}
 	for i := 0; i < n; i++ {
-		out = append(out, ts.samples[(start-i+n)%n])
+		s := &ts.samples[(start-i+n)%n]
+		if s.Cause == "" {
+			s.Cause = Explain(s.Trace)
+		}
+		out = append(out, *s)
 	}
 	return out
 }
@@ -170,7 +231,8 @@ func (ts *TailSampler) Threshold(kind OpKind) uint64 {
 	if ts.counts[kind] <= ts.warmup || ts.counts[kind] < ts.minPop {
 		return 0
 	}
-	return ts.thresholdLocked(kind)
+	oct, sub, _ := ts.quantileLocked(kind)
+	return tailSubLower(oct, sub)
 }
 
 // Counters exposes the sampler's totals for registry registration.

@@ -151,6 +151,59 @@ func TestTailSamplerRing(t *testing.T) {
 	}
 }
 
+// TestTailSamplerCapturesAboutOnePercent feeds a uniform-read-shaped mix
+// (about 30% LAC hits at 2.2 µs, 33% at 6.6 µs, 36% at 8.8 µs, 1.2% at
+// 13 µs): at q=0.99 the bar must land in the 13 µs tail, so the sampler
+// keeps about 1% of ops. A power-of-two bar, [8.39, 16.8) µs, keeps the
+// 8.8 µs ops too, about 37%. Then a distribution whose p99 falls inside
+// a point mass.
+func TestTailSamplerCapturesAboutOnePercent(t *testing.T) {
+	ts := NewTailSampler(0.99, 32)
+	const n = 100_000
+	state := uint64(1)
+	for i := 0; i < n; i++ {
+		state = state*6364136223846793005 + 1442695040888963407
+		lat := int64(2_200_000)
+		switch r := (state >> 33) % 1000; {
+		case r >= 988:
+			lat = 13_000_000
+		case r >= 628:
+			lat = 8_800_000
+		case r >= 300:
+			lat = 6_600_000
+		}
+		lat += int64(state>>20) % 50_000 // queueing jitter below a sub-bucket
+		ts.Offer(OpGet, mkTrace(lat))
+	}
+	offered, captured := ts.Stats()
+	if share := float64(captured) / float64(offered); share > 0.02 {
+		t.Fatalf("captured %d of %d ops (%.1f%%), want at most 2%% at p99", captured, offered, 100*share)
+	}
+	if thr := ts.Threshold(OpGet); thr <= 8_850_000 || thr > 13_000_000 {
+		t.Fatalf("threshold %d ps, want in the 13 µs tail", thr)
+	}
+	for _, s := range ts.Samples() {
+		if s.Cause == "" {
+			t.Fatal("sample read without a cause")
+		}
+	}
+
+	// Ties: on an idle virtual network many ops share one latency. With
+	// the p99 inside a 5% point mass, only the share of the mass that
+	// ranks above the quantile is kept.
+	ties := NewTailSampler(0.99, 32)
+	for i := 0; i < n; i++ {
+		lat := int64(6_600_000)
+		if i%20 == 0 {
+			lat = 8_800_000
+		}
+		ties.Offer(OpPut, mkTrace(lat))
+	}
+	if offered, captured := ties.Stats(); captured == 0 || float64(captured) > 0.02*float64(offered) {
+		t.Fatalf("point mass at the p99: captured %d of %d ops, want about 1%%", captured, offered)
+	}
+}
+
 // TestExplain checks the pre-explanation: dominant stage attribution,
 // fault counting and note forwarding.
 func TestExplain(t *testing.T) {

@@ -20,6 +20,26 @@ type Event struct {
 	Batch      bool
 	Err        string
 	Note       string
+	// args holds the operands of a Notef annotation while it is still
+	// unformatted (Note is then its format); see Recorder.Notef.
+	args noteArgs
+}
+
+// noteArgs are the deferred operands of one Notef annotation.
+type noteArgs struct {
+	lazy bool
+	n    int
+	v    [2]any
+}
+
+// renderNotes formats every deferred Notef annotation in place.
+func (t *Trace) renderNotes() {
+	for i := range t.Events {
+		if e := &t.Events[i]; e.args.lazy {
+			e.Note = fmt.Sprintf(e.Note, e.args.v[:e.args.n]...)
+			e.args = noteArgs{}
+		}
+	}
 }
 
 // Trace is the recorded timeline of one index operation on the virtual
@@ -58,12 +78,13 @@ func (t *Trace) Bytes() uint64 {
 	return total
 }
 
-// Clone returns a deep copy of the trace, safe to retain after the
-// recorder that produced it reuses its storage (tail sampling keeps
-// clones; live recording keeps reusing the original).
+// Clone returns a deep copy of the trace with every note formatted, safe
+// to retain after the recorder that produced it reuses its storage (tail
+// sampling keeps clones; live recording keeps reusing the original).
 func (t *Trace) Clone() *Trace {
 	cp := *t
 	cp.Events = append([]Event(nil), t.Events...)
+	cp.renderNotes()
 	return &cp
 }
 
@@ -145,20 +166,25 @@ func (r *Recorder) BeginReuse(op string, nowPs int64) {
 	r.live = true
 }
 
-// End closes the active trace at the given virtual time.
-func (r *Recorder) End(nowPs int64) {
+// End closes the active trace at the given virtual time and returns it
+// as recorded: Notef annotations are still unformatted, so hand it only
+// to code that reads no notes or keeps a Clone (TailSampler.Offer).
+func (r *Recorder) End(nowPs int64) *Trace {
 	if r == nil || r.tr == nil {
-		return
+		return nil
 	}
 	r.tr.EndPs = nowPs
 	r.live = false
+	return r.tr
 }
 
-// Trace returns the most recently recorded trace (nil before Begin).
+// Trace returns the most recently recorded trace with every note
+// formatted (nil before Begin).
 func (r *Recorder) Trace() *Trace {
-	if r == nil {
+	if r == nil || r.tr == nil {
 		return nil
 	}
+	r.tr.renderNotes()
 	return r.tr
 }
 
@@ -170,6 +196,24 @@ func (r *Recorder) Note(stage fabric.Stage, nowPs int64, note string) {
 	r.tr.Events = append(r.tr.Events, Event{
 		Stage: stage, StartPs: nowPs, EndPs: nowPs, Note: note,
 	})
+}
+
+// Notef appends a local annotation whose text is fmt.Sprintf(format,
+// args...). Up to two operands are kept and formatted only when the trace
+// is cloned or returned by Trace, so an always-armed recorder formats
+// nothing for the operations nobody keeps.
+func (r *Recorder) Notef(stage fabric.Stage, nowPs int64, format string, args ...any) {
+	if r == nil || !r.live {
+		return
+	}
+	e := Event{Stage: stage, StartPs: nowPs, EndPs: nowPs, Note: format}
+	if len(args) <= len(e.args.v) {
+		e.args.lazy = true
+		e.args.n = copy(e.args.v[:], args)
+	} else {
+		e.Note = fmt.Sprintf(format, args...)
+	}
+	r.tr.Events = append(r.tr.Events, e)
 }
 
 // ObserveBatch implements fabric.BatchObserver.

@@ -67,3 +67,35 @@ func FuzzHeaderWords(f *testing.F) {
 		}
 	})
 }
+
+// FuzzHashKernels checks the one-pass kernels against Hash64Seed: the
+// multi-seed kernel for every seed (including counts that are not a
+// multiple of its four lanes) and the incremental kernel for every
+// prefix.
+func FuzzHashKernels(f *testing.F) {
+	f.Add([]byte("user@example.com"), uint64(9), uint8(5))
+	f.Add([]byte{}, uint64(0), uint8(1))
+	f.Add([]byte{0, 0xff, 7}, uint64(1<<63), uint8(9))
+	f.Fuzz(func(t *testing.T, b []byte, seed uint64, n uint8) {
+		seeds := make([]uint64, int(n%12))
+		for i := range seeds {
+			seeds[i] = seed + uint64(i)*0x632be59bd9b4e019
+		}
+		out := make([]uint64, len(seeds))
+		Hash64Seeds(b, seeds, out)
+		for i, s := range seeds {
+			if want := Hash64Seed(b, s); out[i] != want {
+				t.Fatalf("Hash64Seeds lane %d of %d (seed %#x) = %#x, Hash64Seed = %#x", i, len(seeds), s, out[i], want)
+			}
+		}
+		pre := AppendPrefixHashes([]uint64{42}, b, seed)
+		if len(pre) != 1+len(b) || pre[0] != 42 {
+			t.Fatalf("AppendPrefixHashes returned %d hashes for %d bytes, or clobbered dst", len(pre)-1, len(b))
+		}
+		for l := 1; l <= len(b); l++ {
+			if want := Hash64Seed(b[:l], seed); pre[l] != want {
+				t.Fatalf("prefix %d: %#x, Hash64Seed = %#x", l, pre[l], want)
+			}
+		}
+	})
+}

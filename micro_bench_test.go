@@ -129,8 +129,12 @@ func BenchmarkEmailGenerate(b *testing.B) {
 // hot-path scratch buffers exist for), not virtual network time.
 
 func benchCluster(b *testing.B, keys [][]byte) (*sphinx.ComputeNode, *sphinx.Session) {
+	return benchClusterConfig(b, sphinx.Config{Timing: sphinx.TimingInstant}, keys)
+}
+
+func benchClusterConfig(b *testing.B, cfg sphinx.Config, keys [][]byte) (*sphinx.ComputeNode, *sphinx.Session) {
 	b.Helper()
-	cluster, err := sphinx.NewCluster(sphinx.Config{Timing: sphinx.TimingInstant})
+	cluster, err := sphinx.NewCluster(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -162,6 +166,29 @@ func BenchmarkSphinxGetWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok, err := s.Get(keys[i%len(keys)]); err != nil || !ok {
+			b.Fatal("missing key")
+		}
+	}
+}
+
+// BenchmarkSphinxGetMiss reads over 3× more keys than the leaf-address
+// cache has slots (8 Ki slots, 24k keys), in a fixed scrambled order, so
+// most Gets miss the LAC and pay the locate path: the SFC probe over the
+// key's prefixes, then the hash-entry, inner-node and leaf reads. It is
+// the cheap regression check for that path's CPU and allocations.
+func BenchmarkSphinxGetMiss(b *testing.B) {
+	const slots = 8 << 10
+	keys := dataset.GenerateEmail(3*slots, 1)
+	_, s := benchClusterConfig(b, sphinx.Config{Timing: sphinx.TimingInstant, LeafCacheBytes: slots * 8}, keys)
+	for _, k := range keys { // warm the filter and directory caches
+		if _, ok, err := s.Get(k); err != nil || !ok {
+			b.Fatal("warmup miss")
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok, err := s.Get(keys[(i*7919)%len(keys)]); err != nil || !ok {
 			b.Fatal("missing key")
 		}
 	}

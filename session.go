@@ -54,7 +54,7 @@ type Session struct {
 	index *obs.IndexMetrics
 	// tail is the always-on slow-op sampler: every sequential operation
 	// records its round-trip timeline into tailRec, and timelines above
-	// the moving p99 for their op kind are retained, pre-explained.
+	// the moving p99 for their op kind are retained (explained on read).
 	tail     *obs.TailSampler
 	tailRec  *obs.Recorder
 	registry *obs.Registry
@@ -106,8 +106,7 @@ func (s *Session) beginOp(k obs.OpKind) (obs.OpKind, int64, uint64) {
 func (s *Session) observeOp(k obs.OpKind, startPs int64, rt0 uint64) {
 	end := s.fc.Clock()
 	s.metrics.ObserveOp(k, end-startPs, s.fc.RoundTrips()-rt0)
-	s.tailRec.End(end)
-	s.tail.Offer(k, s.tailRec.Trace())
+	s.tail.Offer(k, s.tailRec.End(end))
 }
 
 // Get returns the value stored for key.

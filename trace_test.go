@@ -1,10 +1,14 @@
 package sphinx
 
 import (
+	"fmt"
+	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
 	"sphinx/internal/fabric"
+	"sphinx/internal/obs"
 )
 
 // TestTraceColdGet pins the paper's §III-B claim in trace form: a Get the
@@ -177,5 +181,87 @@ func TestTraceWarmGet(t *testing.T) {
 		if !strings.Contains(prom.String(), needle) {
 			t.Errorf("prometheus export missing %q", needle)
 		}
+	}
+}
+
+// TestTraceNoteText pins the text of the index's local annotations, in
+// an explicit trace and in the tail samples /traces serves: notes are
+// recorded unformatted and formatted only when a trace is returned or
+// kept, and must read exactly as they always did.
+func TestTraceNoteText(t *testing.T) {
+	cluster, err := NewCluster(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := cluster.NewComputeNode().NewSession()
+	for _, k := range []string{"LYRICS", "LYRBIC"} {
+		if err := s.Put([]byte(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok, err := s.Get([]byte("LYRICS")); err != nil || !ok {
+		t.Fatalf("warm-up Get = ok %v, err %v", ok, err)
+	}
+	tr, err := s.Trace("get LYRBIC", func() error {
+		_, _, err := s.Get([]byte("LYRBIC"))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var notes []string
+	for _, e := range tr.Events {
+		if e.Note != "" {
+			notes = append(notes, e.Note)
+		}
+	}
+	if want := []string{"sfc probe hit: prefix 3/6, fetching"}; strings.Join(notes, "|") != strings.Join(want, "|") {
+		t.Fatalf("trace notes %q, want %q:\n%s", notes, want, tr.Format())
+	}
+
+	// Cold Gets over more keys than the LAC holds keep missing it, so
+	// the kept tail samples carry probe-hit notes; /traces must show
+	// them formatted.
+	small, err := NewCluster(Config{LeafCacheBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = small.NewComputeNode().NewSession()
+	for i := 0; i < 400; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("note-%04d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		if _, _, err := s.Get([]byte(fmt.Sprintf("note-%04d", (i*7)%400))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	obs.NewHandler(obs.ServeOptions{Tail: s.Tail()}).ServeHTTP(rec, httptest.NewRequest("GET", "/traces", nil))
+	body := rec.Body.String()
+	probeHit := regexp.MustCompile(`^sfc probe hit: prefix \d+/9, fetching$`)
+	seen := 0
+	for _, sm := range s.Tail().Samples() {
+		for _, e := range sm.Trace.Events {
+			if e.Note == "" || e.Batch {
+				continue
+			}
+			if strings.HasPrefix(e.Note, "sfc probe hit") {
+				if !probeHit.MatchString(e.Note) {
+					t.Fatalf("tail sample note %q is not the probe-hit text", e.Note)
+				}
+				seen++
+			}
+			if !strings.Contains(body, e.Note) {
+				t.Fatalf("/traces does not show note %q:\n%s", e.Note, body)
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatalf("no tail sample carries a probe-hit note:\n%s", body)
+	}
+	if strings.Contains(body, "%") {
+		t.Fatalf("/traces shows an unformatted note:\n%s", body)
 	}
 }
